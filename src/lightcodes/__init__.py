@@ -13,17 +13,17 @@ experiments (the cross-validation harness), cli (command line).
 from .bounds import (
     BoundRecord,
     assemble_table,
-    boundary_exact,
     gs_lower,
-    johnson_upper,
     lightcode_critical,
 )
 from .codes import (
     LightCode,
+    boundary_exact,
     construct_graham_sloane,
     construct_orbit,
     construct_tournament,
     exact_L,
+    johnson_upper,
     tau,
     verify_light,
 )

@@ -5,52 +5,21 @@ Exact values are known in closed form at the weight boundary (w or n-w in
 bound and the tau-residue pigeonhole a lower bound.  Critical values
 derived from these bounds mirror the Wilcoxon critical tables: only the
 upper-bound variant yields a valid p-value in the worst-case sense, so
-both variants are emitted explicitly labeled.
+both variants are emitted explicitly labeled.  ``boundary_exact`` and
+``johnson_upper`` are defined in ``codes``, whose exact search stops at
+the upper bound, and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 
-from .codes import EXACT_SEARCH_LIMIT, exact_L, tau_classes
+from .codes import EXACT_SEARCH_LIMIT, boundary_exact, exact_L, johnson_upper, tau_classes
 from .wilcoxon import _as_fraction
 
 BOUND_KINDS = ("lower", "upper", "exact")
-
-
-def boundary_exact(n: int, w: int, W: int) -> int | None:
-    """Closed-form L(W,n,w) for w or n-w in {1,2}; None otherwise."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
-    if w == 1 or n - w == 1:
-        return min(2 * W + 1, n)
-    if w == 2 or n - w == 2:
-        return min((W + 1) * n // 2, comb(n, 2))
-    return None
-
-
-@cache
-def johnson_upper(n: int, w: int, W: int) -> int:
-    """Recursive upper bound on L(W,n,w), anchored at the closed forms."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
-    if w > n - w:
-        w = n - w  # complement symmetry
-    if W >= w * (n - w):
-        return comb(n, w)
-    exact = boundary_exact(n, w, W)
-    if exact is not None:
-        return exact
-    jb1 = johnson_upper(n - 1, w - 1, W) * n // w
-    jb2 = johnson_upper(n - 1, w, W) * n // (n - w)
-    return min(jb1, jb2, comb(n, w))
 
 
 def gs_lower(n: int, w: int, W: int) -> int | None:

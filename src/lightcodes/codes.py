@@ -3,11 +3,16 @@
 A code C in S(n,w) is W-light when the subgraph of J(n,w) induced by C can
 be oriented with every code vertex at outdegree <= W.  Edges leaving the
 code never count against it, so only induced edges matter.
+
+The closed forms at the weight boundary and the recursive upper bound on
+L(W,n,w) live here rather than in ``bounds``, because ``exact_L`` stops
+as soon as its incumbent meets the upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .johnson import (
@@ -21,6 +26,8 @@ from .johnson import (
 )
 from .words import Word, enumerate_words, rank
 
+# C(7,3) = 35, the next size up, takes about 25 s at W = 1 and W = 5 and
+# more than 120 s at each of W = 2, 3, 4 (2-core VM, Python 3.11).
 EXACT_SEARCH_LIMIT = 24
 
 
@@ -115,7 +122,11 @@ def construct_orbit(n: int, W: int) -> LightCode:
         words = [wd for d in range(2, W // 2 + 2) for wd in _shift_orbit(n, d)]
         matching = [Word.from_support(n, (2 * t, 2 * t + 1)) for t in range(n // 2)]
         words += matching[: target - len(words)]
-    assert len(words) == target
+    if len(words) != target:
+        raise AssertionError(
+            f"shift-orbit construction for (n={n}, W={W}) has {len(words)} words, "
+            f"expected {target}"
+        )
     return _with_euler_witness(n, 2, W, words)
 
 
@@ -177,16 +188,153 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
     return max(candidates, key=lambda c: c.size)
 
 
+def boundary_exact(n: int, w: int, W: int) -> int | None:
+    """Closed-form L(W,n,w) for w or n-w in {1,2}; None otherwise."""
+    if not 0 < w < n:
+        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    if W < 0:
+        raise ValueError("W must be nonnegative")
+    if w == 1 or n - w == 1:
+        return min(2 * W + 1, n)
+    if w == 2 or n - w == 2:
+        return min((W + 1) * n // 2, comb(n, 2))
+    return None
+
+
+@cache
+def johnson_upper(n: int, w: int, W: int) -> int:
+    """Recursive upper bound on L(W,n,w), anchored at the closed forms."""
+    if not 0 < w < n:
+        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    if W < 0:
+        raise ValueError("W must be nonnegative")
+    if w > n - w:
+        w = n - w  # complement symmetry
+    if W >= w * (n - w):
+        return comb(n, w)
+    exact = boundary_exact(n, w, W)
+    if exact is not None:
+        return exact
+    jb1 = johnson_upper(n - 1, w - 1, W) * n // w
+    jb2 = johnson_upper(n - 1, w, W) * n // (n - w)
+    return min(jb1, jb2, comb(n, w))
+
+
+class _OrientedSet:
+    """A growing vertex set of J(n,w), kept oriented with outdegrees <= W.
+
+    Vertices are ranks; ``adj[v]`` is the neighbor bitmask of vertex v and
+    ``out[v]`` the bitmask of arc heads leaving v.  A pushed vertex orients each edge to
+    the chosen set toward an endpoint with slack (outdegree < W); when
+    neither has slack the edge leaves the new vertex, which then sheds the
+    excess along a reversed directed path to a vertex with slack.  If no
+    such path exists, the vertices reachable from the new one span more
+    than W per vertex (Hakimi 1965; Frank & Gyarfas 1976), so the set is
+    infeasible: the same verdict as max-flow.  Every arc change goes on a
+    trail, and pop() undoes the last push exactly.
+    """
+
+    def __init__(self, graph: JohnsonGraph, W: int):
+        total = graph.num_vertices
+        self.adj = [sum(1 << s for s in graph.neighbor_ranks(r)) for r in range(total)]
+        self.W = W
+        self.members = 0
+        self.out = [0] * total
+        self.outdeg = [0] * total
+        self.trail: list[tuple[int, int, bool]] = []  # (tail, head, arc is new)
+        self.pushed: list[tuple[int, int]] = []  # (vertex, trail length before it)
+
+    def _arc(self, a: int, b: int) -> None:
+        self.out[a] |= 1 << b
+        self.outdeg[a] += 1
+        self.trail.append((a, b, True))
+
+    def _relieve(self, s: int) -> bool:
+        """Reverse a directed path from s to a vertex with slack, if any."""
+        out, outdeg, W = self.out, self.outdeg, self.W
+        parent = {s: s}
+        seen = 1 << s
+        queue = [s]
+        for x in queue:
+            fresh = out[x] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                y = low.bit_length() - 1
+                parent[y] = x
+                if outdeg[y] < W:
+                    while y != s:
+                        x = parent[y]
+                        out[x] ^= 1 << y
+                        out[y] |= 1 << x
+                        outdeg[x] -= 1
+                        outdeg[y] += 1
+                        self.trail.append((y, x, False))
+                        y = x
+                    return True
+                queue.append(y)
+        return False
+
+    def push(self, v: int) -> bool:
+        """Add v to the set; on infeasibility leave the state as it was."""
+        outdeg, W = self.outdeg, self.W
+        self.pushed.append((v, len(self.trail)))
+        todo = self.adj[v] & self.members
+        self.members |= 1 << v
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            if outdeg[v] < W:
+                self._arc(v, u)
+            elif outdeg[u] < W:
+                self._arc(u, v)
+            else:
+                self._arc(v, u)
+                if not self._relieve(v):
+                    self.pop()
+                    return False
+        return True
+
+    def pop(self) -> None:
+        """Remove the most recently pushed vertex and undo its arc changes."""
+        v, mark = self.pushed.pop()
+        out, outdeg, trail = self.out, self.outdeg, self.trail
+        while len(trail) > mark:
+            a, b, new = trail.pop()
+            out[a] ^= 1 << b
+            outdeg[a] -= 1
+            if not new:
+                out[b] |= 1 << a
+                outdeg[b] += 1
+        self.members &= ~(1 << v)
+
+    def fits(self, v: int) -> bool:
+        """Whether v could be pushed now; the state is left unchanged."""
+        if self.push(v):
+            self.pop()
+            return True
+        return False
+
+
 def exact_L(n: int, w: int, W: int, return_code: bool = False):
     """Exact maximum size of a W-light (n,w) code, by branch and bound.
 
-    Vertices are tried in decreasing residual-degree order; a branch dies
-    when its chosen set fails the max-flow feasibility check, which
-    subsumes the density condition |E(H)| <= W|H| on every subset.  The
-    incumbent starts from the best closed-form construction.
+    The chosen set keeps one orientation with every outdegree <= W for
+    the whole search and is updated incrementally (see ``_OrientedSet``);
+    no max-flow runs per node.  Feasibility is monotone under subsets, so
+    after every include each candidate that no longer fits on its own is
+    dropped, and a branch dies when |chosen| + |candidates| cannot beat
+    the incumbent.  J(n,w) is vertex-transitive, so the root only takes
+    its include branch.  The incumbent starts from the best closed-form
+    construction, and the search stops once it meets ``johnson_upper``.
+    The returned code is re-verified by max-flow.
     """
     if not 0 < w < n:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    if W < 0:
+        raise ValueError("W must be nonnegative")
     total = comb(n, w)
     if total > EXACT_SEARCH_LIMIT:
         raise ResourceLimitError(
@@ -194,54 +342,42 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
             f"{EXACT_SEARCH_LIMIT}"
         )
     graph = JohnsonGraph(n, w)
-    if W >= graph.degree:
-        code = LightCode(n, w, W, tuple(enumerate_words(n, w)),
-                         eulerian_orientation(graph.full_subgraph()))
-        return (total, code) if return_code else total
-
+    upper = johnson_upper(n, w, W)
     incumbent = best_construction(n, w, W)
     best_size = incumbent.size
     best_ranks = sorted(rank(word) for word in incumbent.words)
 
-    adj = {r: set(graph.neighbor_ranks(r)) for r in range(total)}
-    # Static order: repeatedly peel the max-degree vertex of the residual graph.
-    order = []
-    residual = {r: set(s) for r, s in adj.items()}
-    while residual:
-        v = max(residual, key=lambda r: (len(residual[r]), -r))
-        order.append(v)
-        for u in residual[v]:
-            residual[u].discard(v)
-        del residual[v]
+    state = _OrientedSet(graph, W)
 
-    chosen: list[int] = []
-
-    def feasible(ranks: list[int]) -> bool:
-        rset = frozenset(ranks)
-        edges = sorted(
-            (a, b) for a in rset for b in adj[a] if b in rset and a < b
-        )
-        sub = InducedSubgraph(graph, rset, tuple(edges))
-        return orientation_feasible(sub, W)[0]
-
-    def extend(idx: int) -> None:
+    def extend(candidates: list[int]) -> bool:
+        """Branch on the candidates in order; True once the incumbent meets ``upper``."""
         nonlocal best_size, best_ranks
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_ranks = sorted(chosen)
-        if idx == len(order) or len(chosen) + (len(order) - idx) <= best_size:
-            return
-        v = order[idx]
-        chosen.append(v)
-        if feasible(chosen):
-            extend(idx + 1)
-        chosen.pop()
-        extend(idx + 1)
+        size = len(state.pushed)
+        if size > best_size:
+            best_size = size
+            best_ranks = sorted(v for v, _ in state.pushed)
+            if best_size == upper:
+                return True
+        for i, v in enumerate(candidates):
+            if size + len(candidates) - i <= best_size:
+                break
+            if not state.push(v):
+                raise AssertionError(f"candidate {v} passed the filter but does not fit")
+            done = extend([c for c in candidates[i + 1:] if state.fits(c)])
+            state.pop()
+            if done:
+                return True
+            if size == 0:
+                break  # root: by vertex-transitivity some optimum contains vertex 0
+        return False
 
-    extend(0)
-    if not return_code:
-        return best_size
+    if best_size < upper:
+        extend(list(range(total)))
     words = tuple(graph.word(r) for r in best_ranks)
     ok, witness = orientation_feasible(build_induced(graph, best_ranks), W)
-    assert ok
-    return best_size, LightCode(n, w, W, words, witness)
+    if not ok:
+        raise AssertionError(
+            f"exact_L(n={n}, w={w}, W={W}) found a code of size {best_size} "
+            f"that fails max-flow verification"
+        )
+    return (best_size, LightCode(n, w, W, words, witness)) if return_code else best_size

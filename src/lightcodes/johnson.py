@@ -307,9 +307,10 @@ def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation 
         ea, eb = endpoint_eids[k]
         if net.cap[ea] == 0:  # saturated: edge charged to endpoint a
             direction[(a, b)] = (a, b)
-        else:
-            assert net.cap[eb] == 0
+        elif net.cap[eb] == 0:
             direction[(a, b)] = (b, a)
+        else:
+            raise AssertionError(f"max-flow left edge ({a},{b}) unassigned")
     return True, Orientation(g, direction)
 
 

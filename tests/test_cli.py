@@ -195,6 +195,19 @@ def test_exact_l_command(tmp_path, capsys):
     assert code == 3 and "24" in err
 
 
+def test_exact_l_rejects_negative_W(capsys):
+    code, _, err = run(capsys, "exact-l", "--n", "6", "--w", "3", "--W", "-1")
+    assert code == 1 and "nonnegative" in err
+
+
+def test_exact_l_verification_failure_exits_4(monkeypatch, capsys):
+    from lightcodes import codes
+
+    monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
+    code, _, err = run(capsys, "exact-l", "--n", "6", "--w", "3", "--W", "1")
+    assert code == 4 and "max-flow verification" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1

@@ -2,9 +2,13 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lightcodes import codes
 from lightcodes.codes import (
     LightCode,
+    _OrientedSet,
     best_construction,
     construct_graham_sloane,
     construct_orbit,
@@ -14,8 +18,14 @@ from lightcodes.codes import (
     tau_classes,
     verify_light,
 )
-from lightcodes.johnson import JohnsonGraph, ResourceLimitError, build_induced
+from lightcodes.johnson import (
+    JohnsonGraph,
+    ResourceLimitError,
+    build_induced,
+    orientation_feasible,
+)
 from lightcodes.words import Word, enumerate_words, hamming, transpose
+from oracles import nx_orientable
 
 
 def brute_force_L(n: int, w: int, W: int) -> int:
@@ -184,6 +194,20 @@ def test_exact_L_resource_limit():
         exact_L(10, 5, 1)
 
 
+def test_exact_L_rejects_negative_W():
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_L(4, 2, -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_L(6, 3, -1, return_code=True)
+
+
+def test_exact_L_fails_loudly_when_verification_fails(monkeypatch):
+    monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
+    for return_code in (False, True):
+        with pytest.raises(AssertionError, match="max-flow verification"):
+            exact_L(6, 3, 1, return_code=return_code)
+
+
 def test_exact_L_returns_verified_code():
     size, code = exact_L(5, 2, 1, return_code=True)
     assert size == code.size == 5
@@ -196,3 +220,111 @@ def test_best_construction_is_light():
         code = best_construction(n, w, W)
         assert (code.n, code.w) == (n, w)
         assert verify_light(code)[0]
+
+
+def _check_oriented_set(state: _OrientedSet, graph: JohnsonGraph, chosen: list[int], W: int):
+    """The state holds exactly ``chosen``, oriented edge by edge with outdegrees <= W."""
+    assert state.members == sum(1 << v for v in chosen)
+    arcs = set()
+    for v in range(graph.num_vertices):
+        heads = [u for u in range(graph.num_vertices) if state.out[v] >> u & 1]
+        assert state.outdeg[v] == len(heads) <= W
+        if v not in chosen:
+            assert not heads
+        arcs.update((v, u) for u in heads)
+    undirected = {(min(a, b), max(a, b)) for a, b in arcs}
+    assert len(undirected) == len(arcs)  # no edge oriented both ways
+    assert undirected == set(build_induced(graph, chosen).edges)
+
+
+@given(st.data())
+def test_oriented_set_agrees_with_max_flow(data):
+    n, w = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]))
+    W = data.draw(st.integers(0, 3))
+    graph = JohnsonGraph(n, w)
+    state = _OrientedSet(graph, W)
+    chosen: list[int] = []
+    # None pops the last vertex; an integer tries to push that vertex.
+    ops = data.draw(st.lists(st.none() | st.integers(0, graph.num_vertices - 1), max_size=40))
+    for op in ops:
+        if op is None:
+            if chosen:
+                state.pop()
+                chosen.pop()
+        elif op not in chosen:
+            want = orientation_feasible(build_induced(graph, chosen + [op]), W)[0]
+            assert state.fits(op) == want
+            _check_oriented_set(state, graph, chosen, W)
+            assert state.push(op) == want
+            if want:
+                chosen.append(op)
+        _check_oriented_set(state, graph, chosen, W)
+
+
+# L(W,n,w) for W = 0..3 on every (n,w) with C(n,w) <= 24, recorded from the
+# max-flow-per-node branch and bound that the incremental search replaced.
+PINNED_L = {
+    (2, 1): (1, 2, 2, 2),
+    (3, 1): (1, 3, 3, 3),
+    (3, 2): (1, 3, 3, 3),
+    (4, 1): (1, 3, 4, 4),
+    (4, 2): (2, 4, 6, 6),
+    (4, 3): (1, 3, 4, 4),
+    (5, 1): (1, 3, 5, 5),
+    (5, 2): (2, 5, 7, 10),
+    (5, 3): (2, 5, 7, 10),
+    (5, 4): (1, 3, 5, 5),
+    (6, 1): (1, 3, 5, 6),
+    (6, 2): (3, 6, 9, 12),
+    (6, 3): (4, 7, 11, 14),
+    (6, 4): (3, 6, 9, 12),
+    (6, 5): (1, 3, 5, 6),
+    (7, 1): (1, 3, 5, 7),
+    (7, 2): (3, 7, 10, 14),
+    (7, 5): (3, 7, 10, 14),
+    (7, 6): (1, 3, 5, 7),
+    (8, 1): (1, 3, 5, 7),
+    (8, 7): (1, 3, 5, 7),
+    (9, 1): (1, 3, 5, 7),
+    (9, 8): (1, 3, 5, 7),
+    (10, 1): (1, 3, 5, 7),
+    (10, 9): (1, 3, 5, 7),
+    (11, 1): (1, 3, 5, 7),
+    (11, 10): (1, 3, 5, 7),
+    (12, 1): (1, 3, 5, 7),
+    (12, 11): (1, 3, 5, 7),
+    (13, 1): (1, 3, 5, 7),
+    (13, 12): (1, 3, 5, 7),
+    (14, 1): (1, 3, 5, 7),
+    (14, 13): (1, 3, 5, 7),
+    (15, 1): (1, 3, 5, 7),
+    (15, 14): (1, 3, 5, 7),
+    (16, 1): (1, 3, 5, 7),
+    (16, 15): (1, 3, 5, 7),
+    (17, 1): (1, 3, 5, 7),
+    (17, 16): (1, 3, 5, 7),
+    (18, 1): (1, 3, 5, 7),
+    (18, 17): (1, 3, 5, 7),
+    (19, 1): (1, 3, 5, 7),
+    (19, 18): (1, 3, 5, 7),
+    (20, 1): (1, 3, 5, 7),
+    (20, 19): (1, 3, 5, 7),
+    (21, 1): (1, 3, 5, 7),
+    (21, 20): (1, 3, 5, 7),
+    (22, 1): (1, 3, 5, 7),
+    (22, 21): (1, 3, 5, 7),
+    (23, 1): (1, 3, 5, 7),
+    (23, 22): (1, 3, 5, 7),
+    (24, 1): (1, 3, 5, 7),
+    (24, 23): (1, 3, 5, 7),
+}
+
+
+def test_exact_L_pinned_values_with_networkx_oracle():
+    assert len(PINNED_L) * 4 == 212
+    for (n, w), values in PINNED_L.items():
+        for W, want in enumerate(values):
+            size, code = exact_L(n, w, W, return_code=True)
+            assert size == code.size == want, (n, w, W)
+            assert nx_orientable([word.mask for word in code.words], W), (n, w, W)
+            assert code.witness.max_outdegree() <= W

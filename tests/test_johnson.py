@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lightcodes.johnson import (
     InducedSubgraph,
@@ -18,6 +20,9 @@ from lightcodes.johnson import (
     write_orientation_file,
 )
 from lightcodes.words import Word, enumerate_words
+from oracles import nx_orientable
+
+SMALL_JOHNSON = [(4, 2), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]
 
 
 def brute_force_feasible(g: InducedSubgraph, W: int) -> bool:
@@ -114,6 +119,20 @@ def test_feasible_matches_brute_force():
             assert got == brute_force_feasible(sub, W)
             if got:
                 assert witness.max_outdegree() <= W
+
+
+@given(st.data())
+def test_feasible_matches_networkx_max_flow(data):
+    n, w = data.draw(st.sampled_from(SMALL_JOHNSON))
+    g = JohnsonGraph(n, w)
+    verts = data.draw(st.sets(st.integers(0, g.num_vertices - 1), min_size=1))
+    sub = build_induced(g, verts)
+    # W around the density threshold ceil(|E|/|V|), where only the flow can decide.
+    W = max(0, -(-len(sub.edges) // len(verts)) + data.draw(st.integers(-1, 1)))
+    got, witness = orientation_feasible(sub, W)
+    assert got == nx_orientable([g.word(r).mask for r in verts], W)
+    if got:
+        assert witness.max_outdegree() <= W
 
 
 def test_fact_low_degree_always_feasible():
