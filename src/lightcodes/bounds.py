@@ -13,11 +13,10 @@ the upper bound, and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .codes import EXACT_SEARCH_LIMIT, boundary_exact, exact_L, johnson_upper, tau_classes
-from .wilcoxon import _as_fraction
+from .wilcoxon import critical_value
 
 BOUND_KINDS = ("lower", "upper", "exact")
 
@@ -62,14 +61,14 @@ def assemble_table(
     values come from the closed forms, or from the exhaustive search when
     requested and C(n,w) <= 24.
     """
+    if any(W < 0 for W in W_range):
+        raise ValueError("W must be nonnegative")
     records = []
     for n in n_range:
         for w in w_range:
             if not 0 < w < n:
                 continue
             for W in W_range:
-                if W < 0:
-                    continue
                 lower = 1
                 if n >= 4 * W:
                     if comb(n, w) <= GS_CLASS_ENUM_LIMIT:
@@ -92,31 +91,27 @@ def lightcode_critical(alpha, n: int, w: int, bound_kind: str) -> int | None:
     ``bound_kind`` selects gs_lower, johnson_upper, or an exact value
     (closed form or exhaustive search).  None when even W = 0 fails.
     """
-    a = _as_fraction(alpha)
-    if not 0 < a < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if bound_kind not in BOUND_KINDS:
         raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
     total = comb(n, w)
-    best = None
-    for W in range(w * (n - w) + 1):
-        if bound_kind == "lower":
-            bound = gs_lower(n, w, W)
-            if bound is None:
-                break
-        elif bound_kind == "upper":
-            bound = johnson_upper(n, w, W)
-        else:
-            bound = boundary_exact(n, w, W)
-            if bound is None:
-                if total > EXACT_SEARCH_LIMIT:
-                    raise ValueError(
-                        f"no exact value available for (n={n}, w={w}): "
-                        f"C(n,w) = {total} exceeds the search limit"
-                    )
-                bound = exact_L(n, w, W)
-        if Fraction(bound, total) < a:
-            best = W
-        else:
-            break
-    return best
+
+    def bounds():
+        for W in range(w * (n - w) + 1):
+            if bound_kind == "lower":
+                bound = gs_lower(n, w, W)
+                if bound is None:
+                    return
+            elif bound_kind == "upper":
+                bound = johnson_upper(n, w, W)
+            else:
+                bound = boundary_exact(n, w, W)
+                if bound is None:
+                    if total > EXACT_SEARCH_LIMIT:
+                        raise ValueError(
+                            f"no exact value available for (n={n}, w={w}): "
+                            f"C(n,w) = {total} exceeds the search limit"
+                        )
+                    bound = exact_L(n, w, W)
+            yield bound
+
+    return critical_value(alpha, total, bounds())

@@ -99,6 +99,8 @@ def cmd_bounds(args) -> int:
     W_range = _parse_range(args.W_range)
     if not n_range or not w_range or not W_range:
         raise UsageError("ranges must be nonempty")
+    if W_range.start < 0:
+        raise UsageError(f"--W-range must be nonnegative, got {args.W_range!r}")
     records = bounds_mod.assemble_table(
         n_range, w_range, W_range, exact_when_small=args.exact_when_small
     )

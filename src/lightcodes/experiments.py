@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import generate_data
 from .learners import Learner, make_learner
-from .wilcoxon import _as_fraction
+from .wilcoxon import critical_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,18 +56,9 @@ def replicate_error_counts(
 
 def critical_from_counts(errors: np.ndarray, n: int, w: int, alpha) -> int | None:
     """Largest W with empirical frequency of {errors <= W} strictly below alpha."""
-    a = _as_fraction(alpha)
-    reps = len(errors)
     hist = np.bincount(np.asarray(errors, dtype=np.int64), minlength=w * (n - w) + 1)
-    best = None
-    cum = 0
-    for W in range(w * (n - w) + 1):
-        cum += int(hist[W])
-        if Fraction(cum, reps) < a:
-            best = W
-        else:
-            break
-    return best
+    cumulative = np.cumsum(hist[: w * (n - w) + 1]).tolist()
+    return critical_value(alpha, len(errors), cumulative)
 
 
 def empirical_critical_value(config: SimulationConfig, alpha) -> int | None:

@@ -9,7 +9,6 @@ p-values sample labelings uniformly with the add-one correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +17,7 @@ import numpy as np
 from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, ResourceLimitError
 from .learners import Learner
+from .wilcoxon import NullDistribution as EmpiricalNull
 from .words import Word, iter_words, rank, transpose
 
 EXACT_NULL_LIMIT = 10**6
@@ -36,43 +36,6 @@ def lpocv_u(learner: Learner, data: Dataset, labeling: Word) -> tuple[int, Fract
     errors = int(learner.error_counts(data, [labeling])[0])
     pairs = labeling.w * (labeling.n - labeling.w)
     return errors, Fraction(errors, pairs)
-
-
-@dataclass(frozen=True, slots=True)
-class EmpiricalNull:
-    """Histogram of LPOCV error counts, from all or sampled labelings/samples."""
-
-    n: int
-    w: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.w * (self.n - self.w) + 1:
-            raise ValueError("histogram must cover error counts 0..w(n-w)")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("histogram counts must be nonnegative")
-
-    @property
-    def max_errors(self) -> int:
-        return self.w * (self.n - self.w)
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def cumulative(self, W: int) -> int:
-        if W < 0:
-            return 0
-        return sum(self.counts[: min(W, self.max_errors) + 1])
-
-    def mean(self) -> Fraction:
-        return Fraction(sum(k * c for k, c in enumerate(self.counts)), self.total())
-
-    def variance(self) -> Fraction:
-        mu = self.mean()
-        second = Fraction(
-            sum(k * k * c for k, c in enumerate(self.counts)), self.total()
-        )
-        return second - mu * mu
 
 
 def histogram_from_errors(errors, n: int, w: int) -> EmpiricalNull:

@@ -69,6 +69,8 @@ def test_assemble_table():
     assert by_key[(5, 2, 1)].exact == 5
     # Generic w: no closed form without the search flag.
     assert by_key[(6, 3, 0)].exact is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        assemble_table([4], [2], range(-1, 1))
 
 
 def test_assemble_table_exact_when_small():

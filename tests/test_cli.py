@@ -35,6 +35,12 @@ def test_bounds_rejects_bad_range(capsys):
     assert code == 1 and "usage error" in err
 
 
+def test_bounds_rejects_negative_W(capsys):
+    code, out, err = run(capsys, "bounds", "--n-range", "4", "--w-range", "2",
+                         "--W-range=-1..0")
+    assert code == 1 and out == "" and "--W-range" in err
+
+
 def test_critical_wmw_matches_library(capsys):
     code, out, _ = run(capsys, "critical", "--test", "wmw", "--alpha", "0.05",
                        "--max-size", "8")
