@@ -13,6 +13,12 @@ its two labelings.
 
 Implementations must never read the labeling at the held-out positions;
 only the remaining rows' labels may influence the prediction.
+
+Each learner has two evaluation paths.  ``pair_bit`` with the base-class
+per-pair loop ``Learner.error_counts`` is the reference.  The built-in
+learners also give a batched ``pair_kernel`` (canonical bits for a block of
+labelings at once), which ``BatchedLearner.error_counts`` reduces to error
+counts; tests hold the two paths equal.
 """
 
 from __future__ import annotations
@@ -26,16 +32,21 @@ import numpy as np
 from .datagen import Dataset
 from .words import Word
 
+# Rows per kernel block are capped so that rows x pairs x n stays below
+# this, which bounds ridge's per-block float temporary at 1 MiB.
+_BLOCK_ELEMENTS = 1 << 17
+
 
 def bit_matrix(labelings, n: int) -> np.ndarray:
     """Stack labelings (Words or 0/1 rows) into an (L, n) uint8 matrix."""
     if isinstance(labelings, np.ndarray):
-        mat = np.asarray(labelings, dtype=np.uint8)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-        if mat.shape[1] != n:
-            raise ValueError(f"labelings have length {mat.shape[1]}, expected {n}")
-        return mat
+        mat = labelings[None, :] if labelings.ndim == 1 else labelings
+        if mat.ndim != 2 or mat.shape[1] != n:
+            raise ValueError(f"labelings have length {mat.shape[-1]}, expected {n}")
+        # Checked before the uint8 cast, which would wrap other values.
+        if mat.dtype != bool and not ((mat == 0) | (mat == 1)).all():
+            raise ValueError("labelings must hold only 0 and 1")
+        return np.asarray(mat, dtype=np.uint8)
     rows = []
     for lab in labelings:
         if isinstance(lab, Word):
@@ -43,22 +54,36 @@ def bit_matrix(labelings, n: int) -> np.ndarray:
                 raise ValueError(f"labeling length {lab.n}, expected {n}")
             rows.append([lab.mask >> i & 1 for i in range(n)])
         else:
-            rows.append(list(lab))
-    return np.asarray(rows, dtype=np.uint8)
+            row = list(lab)
+            if len(row) != n or not set(row) <= {0, 1}:
+                raise ValueError(f"labeling {row} is not a 0/1 row of length {n}")
+            rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
 
 
-def _pair_arrays(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered (one-labeled, zero-labeled) index arrays for one labeling."""
-    ones = np.flatnonzero(y)
-    zeros = np.flatnonzero(y == 0)
-    i = np.repeat(ones, len(zeros))
-    j = np.tile(zeros, len(ones))
-    return i, j
+def _differing_pairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical pairs (low < high) labeled differently in at least one row."""
+    if len(mat) == 1:
+        ones, zeros = mat[0].nonzero()[0][:, None], (mat[0] == 0).nonzero()[0]
+        return np.minimum(ones, zeros).ravel(), np.maximum(ones, zeros).ravel()
+    y = mat.astype(np.float64)
+    split = y.T @ (1.0 - y)  # split[a, b] = rows with a 1 at a and a 0 at b
+    return np.nonzero(np.triu(split + split.T, 1))
 
 
-def _errors_from_pred(pred_first: np.ndarray, i: np.ndarray) -> int:
-    """Total errors given per-pair predict-first bits for pairs (i, j)."""
-    return int(len(i) - int(pred_first.sum()))
+def pair_errors(learner: "Learner", data: Dataset, mat: np.ndarray, lows, highs):
+    """Yield (start, errors) per row block of ``mat`` from the learner's kernel.
+
+    ``errors[l, k]`` is true iff row ``start + l`` labels pair k differently and
+    the learner misorders it: the 1-labeled member is ``highs[k]`` exactly
+    when the canonical bit is 0, so the error is ``bit == y[highs[k]]``.
+    """
+    kernel = learner.pair_kernel(data, lows, highs)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(lows) * data.n))
+    for start in range(0, len(mat) if len(lows) else 0, step):
+        block = mat[start:start + step]
+        y_lo, y_hi = block.take(lows, axis=1), block.take(highs, axis=1)
+        yield start, (y_lo != y_hi) & (kernel(block) == y_hi)
 
 
 class Learner(ABC):
@@ -97,8 +122,41 @@ class Learner(ABC):
             out[idx] = errs
         return out
 
+    def pair_kernel(self, data: Dataset, lows: np.ndarray, highs: np.ndarray):
+        """Batched canonical bits for the pairs (lows[k], highs[k]), lows < highs.
 
-class ConstantLearner(Learner):
+        Returns ``kernel(block)``, mapping an (L, n) block of 0/1 rows to an
+        (L, K) array whose entry (l, k) equals ``pair_bit`` for row l and
+        pair k wherever row l labels that pair differently; the other
+        entries are unspecified.  Per-dataset set-up runs here, once, before
+        any block.  This default calls ``pair_bit`` for each such entry.
+        """
+
+        def kernel(block):
+            bits = np.zeros((len(block), len(lows)), dtype=bool)
+            for r, y in enumerate(block):
+                ks = np.flatnonzero(y[lows] != y[highs])
+                if len(ks):
+                    word = Word.from_support(data.n, np.flatnonzero(y))
+                    for k in ks:
+                        bits[r, k] = self.pair_bit(data, word, int(lows[k]), int(highs[k]))
+            return bits
+
+        return kernel
+
+
+class BatchedLearner(Learner):
+    """Learner whose error counts are reduced from its batched pair kernel."""
+
+    def error_counts(self, data: Dataset, labelings) -> np.ndarray:
+        mat = bit_matrix(labelings, data.n)
+        out = np.zeros(len(mat), dtype=np.int64)
+        for start, errors in pair_errors(self, data, mat, *_differing_pairs(mat)):
+            out[start:start + len(errors)] = errors.sum(axis=1)
+        return out
+
+
+class ConstantLearner(BatchedLearner):
     """Fixed scoring function; ignores the training labels entirely.
 
     Scores come either from an explicit per-row vector or from a feature
@@ -124,36 +182,13 @@ class ConstantLearner(Learner):
         s = self._score_vector(data)
         return int(s[low] > s[high])
 
-    def error_counts(self, data, labelings):
+    def pair_kernel(self, data, lows, highs):
         s = self._score_vector(data)
-        mat = bit_matrix(labelings, data.n)
-        # err[i, j] = 1 iff the pair (1-labeled i, 0-labeled j) is predicted wrong.
-        err = _error_matrix_from_scores(s)
-        return _batch_pair_sums(err, mat)
+        bits = (s[lows] > s[highs])[None, :]
+        return lambda block: bits
 
 
-def _error_matrix_from_scores(s: np.ndarray) -> np.ndarray:
-    """Error indicator per ordered pair for a fixed score vector.
-
-    For i < j the canonical bit is s_i > s_j, so the 1-labeled low element
-    errs on a tie; the reversed pair errs only on strict reversal.
-    """
-    n = len(s)
-    lt = s[:, None] < s[None, :]
-    le = s[:, None] <= s[None, :]
-    idx = np.arange(n)
-    err = np.where(idx[:, None] < idx[None, :], le, lt).astype(np.int64)
-    np.fill_diagonal(err, 0)
-    return err
-
-
-def _batch_pair_sums(err: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Sum err[i, j] over 1-labeled i and 0-labeled j, per labeling row."""
-    y = mat.astype(np.int64)
-    return np.einsum("li,ij,lj->l", y, err, 1 - y)
-
-
-class ParityLearner(Learner):
+class ParityLearner(BatchedLearner):
     """The full-sample parity adversary.
 
     Expects a two-column dataset: column 0 carries the label leak and
@@ -173,16 +208,13 @@ class ParityLearner(Learner):
         base = int(leak[low] > leak[high])
         return base ^ self._flip(data)
 
-    def error_counts(self, data, labelings):
-        flip = self._flip(data)
-        err = _error_matrix_from_scores(data.features[:, 0])
-        if flip:
-            err = 1 - err
-            np.fill_diagonal(err, 0)
-        return _batch_pair_sums(err, bit_matrix(labelings, data.n))
+    def pair_kernel(self, data, lows, highs):
+        leak = data.features[:, 0]
+        bits = ((leak[lows] > leak[highs]) ^ bool(self._flip(data)))[None, :]
+        return lambda block: bits
 
 
-class OrderDirectionLearner(Learner):
+class OrderDirectionLearner(BatchedLearner):
     """Learns only whether a feature is directly or inversely related.
 
     Training counts concordant vs discordant differently-labeled pairs on
@@ -194,74 +226,39 @@ class OrderDirectionLearner(Learner):
         self.feature = int(feature)
         self.name = f"order-direction(feature={self.feature})"
 
-    def _direction_tables(self, data: Dataset, y: np.ndarray):
-        f = data.features[:, self.feature]
-        gt = (f[:, None] > f[None, :]).astype(np.int64)
-        y1 = y.astype(np.int64)
-        y0 = 1 - y1
-        conc = int(y1 @ gt @ y0)
-        disc = int(y1 @ gt.T @ y0)
-        # Margins for O(1) removal of every term touching a held-out row.
-        row_conc = gt @ y0   # row r as the 1-labeled member
-        col_conc = y1 @ gt   # row r as the 0-labeled member
-        row_disc = gt.T @ y0
-        col_disc = y1 @ gt.T
-        return f, gt, y1, conc, disc, row_conc, col_conc, row_disc, col_disc
-
-    def _pair_direction(self, tables, low: int, high: int) -> int:
-        """Majority direction on the training set with rows low, high removed.
-
-        The stored labels at the held-out rows only steer which full-sum
-        terms get subtracted; the result is the pure training-set count.
-        """
-        _, gt, y1, conc, disc, row_conc, col_conc, row_disc, col_disc = tables
-        yl, yh = int(y1[low]), int(y1[high])
-        c = (
-            conc
-            - yl * row_conc[low]
-            - yh * row_conc[high]
-            - (1 - yl) * col_conc[low]
-            - (1 - yh) * col_conc[high]
-            + yl * (1 - yh) * gt[low, high]
-            + yh * (1 - yl) * gt[high, low]
-        )
-        d = (
-            disc
-            - yl * row_disc[low]
-            - yh * row_disc[high]
-            - (1 - yl) * col_disc[low]
-            - (1 - yh) * col_disc[high]
-            + yl * (1 - yh) * gt[high, low]
-            + yh * (1 - yl) * gt[low, high]
-        )
-        return 1 if c >= d else -1
-
     def pair_bit(self, data, labeling, low, high):
+        f = data.features[:, self.feature]
         y = bit_matrix([labeling], data.n)[0]
-        tables = self._direction_tables(data, y)
-        direction = self._pair_direction(tables, low, high)
-        f = tables[0]
-        return int(direction * f[low] > direction * f[high])
+        train = np.ones(data.n, dtype=bool)
+        train[[low, high]] = False
+        ones, zeros = f[train & (y == 1)], f[train & (y == 0)]
+        if (ones[:, None] > zeros).sum() >= (ones[:, None] < zeros).sum():
+            return int(f[low] > f[high])
+        return int(f[low] < f[high])
 
-    def error_counts(self, data, labelings):
-        mat = bit_matrix(labelings, data.n)
-        out = np.empty(len(mat), dtype=np.int64)
-        for idx, y in enumerate(mat):
-            tables = self._direction_tables(data, y)
-            f = tables[0]
-            i_arr, j_arr = _pair_arrays(y)
-            errs = 0
-            for i, j in zip(i_arr, j_arr):
-                low, high = (i, j) if i < j else (j, i)
-                direction = self._pair_direction(tables, low, high)
-                bit = int(direction * f[low] > direction * f[high])
-                pred = bit if i == low else 1 - bit
-                errs += 1 - pred
-            out[idx] = errs
-        return out
+    def pair_kernel(self, data, lows, highs):
+        f = data.features[:, self.feature]
+        # sign[r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
+        # concordant / discordant pair.
+        sign = (f[:, None] > f[None, :]).astype(np.int64) - (f[:, None] < f[None, :])
+        colsum = sign.sum(axis=0)
+        pos, neg = f[lows] > f[highs], f[lows] < f[highs]
+
+        def kernel(block):
+            y = block.astype(np.int64)
+            col = y @ sign  # col[l, c]: sign[r, c] summed over the 1-labeled r
+            full = (y * (col - colsum)).sum(axis=1, keepdims=True)
+            y_lo, y_hi = y[:, lows], y[:, highs]
+            # Concordant minus discordant pairs of the whole sample, less every
+            # term with a held-out row on either side; ties go positive.
+            net = full - col[:, lows] - col[:, highs] + y_lo * colsum[lows]
+            net += y_hi * colsum[highs] + (y_lo - y_hi) * sign[lows, highs]
+            return np.where(net >= 0, pos, neg)
+
+        return kernel
 
 
-class RandomOrientationLearner(Learner):
+class RandomOrientationLearner(BatchedLearner):
     """Pseudo-random but deterministic pairwise predictions.
 
     The canonical bit is a cryptographic hash of the training multiset
@@ -294,8 +291,39 @@ class RandomOrientationLearner(Learner):
         digest.update(held[1])
         return digest.digest()[0] & 1
 
+    def pair_kernel(self, data, lows, highs):
+        # Same digest input as pair_bit: each row's entries are sorted once and
+        # a pair's hash skips its two entries in the sorted concatenation.
+        n = data.n
+        rows = [self._row_bytes(row) for row in data.features]
+        size = len(rows[0]) + 1
+        pairs = list(zip(lows.tolist(), highs.tolist()))
+        held = [b"".join(sorted((rows[a], rows[b]))) for a, b in pairs]
+        seeded = hashlib.sha256(struct.pack("<q", self.seed))
 
-class RidgeLearner(Learner):
+        def kernel(block):
+            bits = np.zeros((len(block), len(pairs)), dtype=bool)
+            for r, y in enumerate(block):
+                entries = [row + bytes([bit]) for row, bit in zip(rows, y.tolist())]
+                order = sorted(range(n), key=entries.__getitem__)
+                joined = memoryview(b"".join(entries[i] for i in order))
+                offset = [0] * n
+                for place, i in enumerate(order):
+                    offset[i] = place * size
+                for k in np.flatnonzero(y[lows] != y[highs]).tolist():
+                    a, b = sorted((offset[pairs[k][0]], offset[pairs[k][1]]))
+                    digest = seeded.copy()
+                    digest.update(joined[:a])
+                    digest.update(joined[a + size:b])
+                    digest.update(joined[b + size:])
+                    digest.update(held[k])
+                    bits[r, k] = digest.digest()[0] & 1
+            return bits
+
+        return kernel
+
+
+class RidgeLearner(BatchedLearner):
     """Ridge regression on 0/1 targets with an unpenalized intercept.
 
     Trained on the n-2 remaining rows for every held-out pair; the two
@@ -310,73 +338,57 @@ class RidgeLearner(Learner):
         self.name = f"ridge(lambda={self.lam:g})"
 
     def _design(self, data: Dataset):
+        if data.n < 3:
+            raise ValueError(
+                f"ridge needs n >= 3: holding out a pair of n={data.n} rows "
+                "leaves no training rows"
+            )
         Z = np.hstack([data.features, np.ones((data.n, 1))])
         penalty = np.diag([self.lam] * data.d + [0.0])
         A_full = Z.T @ Z + penalty
         return Z, A_full
 
-    def _pair_inverses(self, Z, A_full, pairs: np.ndarray) -> np.ndarray:
-        outer = Z[:, :, None] * Z[:, None, :]
-        stacked = A_full[None, :, :] - outer[pairs[:, 0]] - outer[pairs[:, 1]]
-        return np.linalg.inv(stacked)
-
     @staticmethod
-    def _pair_scores(Z, inv, pairs, y):
-        """Scores of both held-out rows for each pair, batched.
-
-        The targets are masked to the training rows before any float
-        reduction (and every reduction is an einsum), so the bit for an
-        edge is a pure function of the training information: both
-        labelings of an edge see bit-identical arithmetic even at ties.
-        """
-        masked = np.repeat(y[None, :].astype(float), len(pairs), axis=0)
-        rows = np.arange(len(pairs))
-        masked[rows, pairs[:, 0]] = 0.0
-        masked[rows, pairs[:, 1]] = 0.0
-        b = np.einsum("mn,nk->mk", masked, Z)
-        beta = np.einsum("mij,mj->mi", inv, b)
-        s_a = np.einsum("mi,mi->m", Z[pairs[:, 0]], beta)
-        s_b = np.einsum("mi,mi->m", Z[pairs[:, 1]], beta)
-        return s_a, s_b
+    def _pair_inverses(Z, A_full, lows, highs) -> np.ndarray:
+        outer = Z[:, :, None] * Z[:, None, :]
+        return np.linalg.inv(A_full[None, :, :] - outer[lows] - outer[highs])
 
     def pair_bit(self, data, labeling, low, high):
         y = bit_matrix([labeling], data.n)[0]
         Z, A_full = self._design(data)
-        pairs = np.array([[low, high]])
-        inv = self._pair_inverses(Z, A_full, pairs)
-        s_low, s_high = self._pair_scores(Z, inv, pairs, y)
-        return int(s_low[0] > s_high[0])
+        if y.sum() - y[low] - y[high] == data.n - 2:
+            return 0  # all training targets 1: the fit is constant and the scores tie
+        # Targets are masked to the training rows before any float reduction.
+        masked = y[None, :].astype(float)
+        masked[0, [low, high]] = 0.0
+        inv = self._pair_inverses(Z, A_full, [low], [high])
+        beta = np.einsum("mij,mj->mi", inv, np.einsum("mn,nk->mk", masked, Z))
+        s_low = np.einsum("mi,mi->m", Z[[low]], beta)[0]
+        s_high = np.einsum("mi,mi->m", Z[[high]], beta)[0]
+        return int(s_low > s_high)
 
-    def error_counts(self, data, labelings):
-        mat = bit_matrix(labelings, data.n)
+    def pair_kernel(self, data, lows, highs):
+        # Closed-form leave-pair-out (Pahikkala et al. 2008): the score
+        # difference of the held-out pair is linear in the training targets,
+        # s_low - s_high = sum_r y_r C[k, r], with C zero at the pair itself.
         Z, A_full = self._design(data)
-        # One inverse per unordered pair appearing in any labeling.
-        needed = set()
-        pair_lists = []
-        for y in mat:
-            i_arr, j_arr = _pair_arrays(y)
-            lows = np.minimum(i_arr, j_arr)
-            highs = np.maximum(i_arr, j_arr)
-            pair_lists.append((i_arr, j_arr, lows, highs))
-            needed.update(zip(lows.tolist(), highs.tolist()))
-        ordered = sorted(needed)
-        index = {p: k for k, p in enumerate(ordered)}
-        inv = self._pair_inverses(Z, A_full, np.array(ordered)) if ordered else None
-        out = np.empty(len(mat), dtype=np.int64)
-        for idx, (y, (i_arr, j_arr, lows, highs)) in enumerate(zip(mat, pair_lists)):
-            if len(i_arr) == 0:
-                out[idx] = 0
-                continue
-            sel = np.array([index[(a, b)] for a, b in zip(lows.tolist(), highs.tolist())])
-            pairs = np.stack([lows, highs], axis=1)
-            s_low, s_high = self._pair_scores(Z, inv[sel], pairs, y)
-            bit = s_low > s_high
-            pred = np.where(i_arr < j_arr, bit, ~bit)
-            out[idx] = _errors_from_pred(pred, i_arr)
-        return out
+        inv = self._pair_inverses(Z, A_full, lows, highs)
+        C = np.einsum("kij,kj->ki", inv, Z[lows] - Z[highs]) @ Z.T
+        C[np.arange(len(lows)), lows] = 0.0
+        C[np.arange(len(lows)), highs] = 0.0
+
+        def kernel(block):
+            # An elementwise product summed along the contiguous last axis: the
+            # two labelings of an edge reduce identical terms in the same order.
+            bits = (block[:, None, :] * C[None]).sum(axis=-1) > 0
+            # With every training target 1 the scores tie exactly; the sum
+            # above would only see rounding.
+            return bits & (block.sum(axis=1, keepdims=True) < data.n - 1)
+
+        return kernel
 
 
-class KnnLearner(Learner):
+class KnnLearner(BatchedLearner):
     """k-nearest-neighbor scoring by mean training label.
 
     Euclidean distances with ties broken by sample row index; scores are
@@ -389,26 +401,19 @@ class KnnLearner(Learner):
         self.k = int(k)
         self.name = f"knn(k={self.k})"
 
-    def _neighbor_order(self, data: Dataset) -> list[list[int]]:
+    def _neighbor_table(self, data: Dataset) -> np.ndarray:
+        """table[i, j] = the k nearest training rows to i when {i, j} is held out."""
+        n, k = data.n, self.k
+        if k > n - 2:
+            raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
         X = data.features
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         order = np.argsort(sq, axis=1, kind="stable")
-        return [[int(r) for r in order[i] if r != i] for i in range(data.n)]
-
-    def _neighbor_table(self, data: Dataset) -> np.ndarray:
-        """table[i, j] = the k nearest training rows to i when {i, j} is held out."""
-        n = data.n
-        if self.k > n - 2:
-            raise ValueError(f"k={self.k} too large for n={n} (train size {n - 2})")
-        order = self._neighbor_order(data)
-        table = np.empty((n, n, self.k), dtype=np.int64)
-        for i in range(n):
-            row = order[i]
-            for j in range(n):
-                if j == i:
-                    continue
-                picked = [r for r in row[: self.k + 1] if r != j][: self.k]
-                table[i, j] = picked
+        near = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, : k + 1]
+        # Holding out j drops it from i's k+1 nearest; otherwise the first k stay.
+        table = np.repeat(near[:, None, :k], n, axis=1)
+        skip = np.arange(k) + (np.arange(k) >= np.arange(k + 1)[:, None])
+        table[np.arange(n)[:, None], near] = near[:, skip]
         return table
 
     def pair_bit(self, data, labeling, low, high):
@@ -418,24 +423,13 @@ class KnnLearner(Learner):
         s_high = int(y[table[high, low]].sum())
         return int(s_low > s_high)
 
-    def error_counts(self, data, labelings):
-        mat = bit_matrix(labelings, data.n)
+    def pair_kernel(self, data, lows, highs):
         table = self._neighbor_table(data)
-        out = np.empty(len(mat), dtype=np.int64)
-        for idx, y in enumerate(mat):
-            i_arr, j_arr = _pair_arrays(y)
-            if len(i_arr) == 0:
-                out[idx] = 0
-                continue
-            yl = y.astype(np.int64)
-            lows = np.minimum(i_arr, j_arr)
-            highs = np.maximum(i_arr, j_arr)
-            s_low = yl[table[lows, highs]].sum(axis=1)
-            s_high = yl[table[highs, lows]].sum(axis=1)
-            bit = s_low > s_high
-            pred = np.where(i_arr < j_arr, bit, ~bit)
-            out[idx] = _errors_from_pred(pred, i_arr)
-        return out
+        near_low, near_high = table[lows, highs], table[highs, lows]
+        return lambda block: (
+            block[:, near_low].sum(axis=-1, dtype=np.int64)
+            > block[:, near_high].sum(axis=-1, dtype=np.int64)
+        )
 
 
 LEARNER_FACTORIES = {

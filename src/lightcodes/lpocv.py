@@ -10,18 +10,20 @@ p-values sample labelings uniformly with the add-one correction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
 from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, ResourceLimitError
-from .learners import Learner
+from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
-from .words import Word, iter_words, rank, transpose
+from .words import Word, _check_params, iter_words, rank
 
 EXACT_NULL_LIMIT = 10**6
 MC_EXACT_THRESHOLD = 10**5
+_ENUM_BLOCK_ROWS = 4096
 
 
 def lpo_kernel(learner: Learner, data: Dataset, labeling: Word, i: int, j: int) -> int:
@@ -45,6 +47,25 @@ def histogram_from_errors(errors, n: int, w: int) -> EmpiricalNull:
     return EmpiricalNull(n, w, tuple(int(c) for c in counts))
 
 
+def _labeling_blocks(n: int, w: int):
+    """Every labeling of S(n,w) once, as (rows, n) uint8 blocks."""
+    _check_params(n, w)
+    supports = combinations(range(n), w)
+    while True:
+        chunk = list(chain.from_iterable(islice(supports, _ENUM_BLOCK_ROWS)))
+        if not chunk:
+            return
+        block = np.zeros((len(chunk) // w, n), dtype=np.uint8)
+        np.put_along_axis(block, np.array(chunk).reshape(-1, w), 1, axis=1)
+        yield block
+
+
+def _all_error_counts(learner: Learner, data: Dataset, w: int) -> np.ndarray:
+    """Error count of every labeling in S(n,w), in ``_labeling_blocks`` order."""
+    blocks = _labeling_blocks(data.n, w)
+    return np.concatenate([learner.error_counts(data, block) for block in blocks])
+
+
 def exact_null_distribution(learner: Learner, data: Dataset, w: int) -> EmpiricalNull:
     """Error-count histogram over every labeling in S(n,w) of the fixed sample."""
     n = data.n
@@ -54,8 +75,7 @@ def exact_null_distribution(learner: Learner, data: Dataset, w: int) -> Empirica
             f"C({n},{w}) = {total} labelings exceed the exact-null limit "
             f"{EXACT_NULL_LIMIT}"
         )
-    errors = learner.error_counts(data, list(iter_words(n, w)))
-    return histogram_from_errors(errors, n, w)
+    return histogram_from_errors(_all_error_counts(learner, data, w), n, w)
 
 
 def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
@@ -95,7 +115,7 @@ def mc_null_pvalue(
     if exact is None:
         exact = total <= MC_EXACT_THRESHOLD
     if exact:
-        errors = learner.error_counts(data, list(iter_words(n, w)))
+        errors = _all_error_counts(learner, data, w)
         hits = int((errors <= observed_errors).sum())
         return Fraction(hits, total)
     mat = sample_labelings(n, w, M, seed)
@@ -118,31 +138,23 @@ def orientation_of_learner(
     graph = JohnsonGraph(n, w)
     if graph.num_vertices > 10**4:
         raise ResourceLimitError("orientation extraction is for small S(n,w) only")
+    words = list(iter_words(n, w))
+    mat = bit_matrix(words, n)
+    lows, highs = np.triu_indices(n, 1)
     direction: dict[tuple[int, int], tuple[int, int]] = {}
-    outdeg: dict[int, int] = {}
-    for word in iter_words(n, w):
-        r = rank(word)
-        errs = 0
-        for i in word.support():
-            for j in word.zeros():
-                k = lpo_kernel(learner, data, word, i, j)
-                errs += k
-                other = transpose(word, i, j)
-                s = rank(other)
-                key = (min(r, s), max(r, s))
-                arc = (r, s) if k == 1 else (s, r)
-                if key in direction:
-                    if direction[key] != arc:
-                        raise AssertionError(
-                            f"edge {key} received two directions; the learner "
-                            "violates the label-switch constraint"
-                        )
-                else:
-                    direction[key] = arc
-        outdeg[r] = errs
-    sub = graph.full_subgraph()
-    orientation = Orientation(sub, direction)
     counts = [0] * (graph.degree + 1)
-    for errs in outdeg.values():
-        counts[errs] += 1
+    for start, errors in pair_errors(learner, data, mat, lows, highs):
+        for word, y, errs in zip(words[start:], mat[start:], errors):
+            r = rank(word)
+            for k in np.flatnonzero(y[lows] != y[highs]).tolist():
+                s = rank(Word(word.mask ^ (1 << int(lows[k])) ^ (1 << int(highs[k])), n, w))
+                key = (min(r, s), max(r, s))
+                arc = (r, s) if errs[k] else (s, r)
+                if direction.setdefault(key, arc) != arc:
+                    raise AssertionError(
+                        f"edge {key} received two directions; the learner "
+                        "violates the label-switch constraint"
+                    )
+            counts[int(errs.sum())] += 1
+    orientation = Orientation(graph.full_subgraph(), direction)
     return orientation, EmpiricalNull(n, w, tuple(counts))

@@ -3,6 +3,7 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 
 
 def nx_orientable(masks, W: int) -> bool:
@@ -24,3 +25,20 @@ def nx_orientable(masks, W: int) -> bool:
     for v in masks:
         net.add_edge(("vertex", v), "sink", capacity=W)
     return nx.maximum_flow_value(net, "source", "sink") == len(edges)
+
+
+def knn_neighbor_table(X, k: int) -> np.ndarray:
+    """table[i, j] = the k nearest rows to row i once rows i and j are held
+    out (Euclidean distance, ties by row index), by the original per-entry
+    double loop; the diagonal is left zero.
+    """
+    n = len(X)
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(sq, axis=1, kind="stable")
+    table = np.zeros((n, n, k), dtype=np.int64)
+    for i in range(n):
+        row = [int(r) for r in order[i] if r != i]
+        for j in range(n):
+            if j != i:
+                table[i, j] = [r for r in row[: k + 1] if r != j][:k]
+    return table

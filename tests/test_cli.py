@@ -191,6 +191,12 @@ def test_simulate_unknown_learner_or_scenario(capsys):
     assert code == 1
 
 
+def test_simulate_ridge_without_training_rows(capsys):
+    code, _, err = run(capsys, "simulate", "--mode", "null", "--learner",
+                       "ridge;lambda=1", "--n", "2", "--w", "1")
+    assert code == 1 and "no training rows" in err
+
+
 def test_exact_l_command(tmp_path, capsys):
     out = tmp_path / "opt.txt"
     code, stdout, _ = run(capsys, "exact-l", "--n", "4", "--w", "2", "--W", "0",

@@ -1,6 +1,12 @@
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lightcodes import learners
 from lightcodes.datagen import Dataset, generate_data
 from lightcodes.learners import (
     ConstantLearner,
@@ -12,7 +18,9 @@ from lightcodes.learners import (
     RidgeLearner,
     make_learner,
 )
+from lightcodes.lpocv import exact_null_distribution
 from lightcodes.words import Word, iter_words
+from oracles import knn_neighbor_table
 
 
 def gaussian_data(n, d, seed):
@@ -177,6 +185,10 @@ def test_batch_equals_naive(spec):
         batch = learner.error_counts(data, labs)
         naive = Learner.error_counts(learner, data, labs)
         assert np.array_equal(batch, naive), spec
+        # Values other than 0 and 1 are rejected, not wrapped by the uint8 cast.
+        for bad in (np.array([[2] + [0] * (n - 1)]), [[0] * (n - 1) + [-1]]):
+            with pytest.raises(ValueError):
+                learner.error_counts(data, bad)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -212,3 +224,86 @@ def test_predict_first_validation():
         learner.predict_first(data, lab, 2, 2)
     with pytest.raises(ValueError):
         learner.predict_first(data, lab, 0, 9)
+
+
+def test_ridge_needs_training_rows():
+    data = gaussian_data(2, 1, 0)
+    with pytest.raises(ValueError, match="no training rows"):
+        RidgeLearner(1.0).error_counts(data, [Word.from_string("10")])
+
+
+def test_ridge_constant_training_targets_tie():
+    # With a single 0-label every held-out pair leaves only 1-labeled training
+    # rows: the fit is constant, each pair ties, and a tie errs exactly when
+    # the 1-labeled row is the low one, so the count is the zero's position.
+    n = 7
+    data = gaussian_data(n, 3, 21)
+    learner = RidgeLearner(1.0)
+    labs = [Word.from_support(n, [r for r in range(n) if r != z]) for z in range(n)]
+    assert learner.error_counts(data, labs).tolist() == list(range(n))
+    assert Learner.error_counts(learner, data, labs).tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_knn_neighbor_table_matches_loop_oracle(k):
+    rng = np.random.default_rng(k)
+    for n in range(k + 2, 41):
+        # Few distinct values: duplicate rows and tied distances throughout.
+        X = rng.integers(0, 3, (n, 2)).astype(float) if n % 2 else rng.standard_normal((n, 3))
+        table = KnnLearner(k)._neighbor_table(Dataset(X))
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(table[off], knn_neighbor_table(X, k)[off]), (k, n)
+
+
+def random_dataset(spec, n, seed):
+    """Gaussian rows for ridge; a small integer grid (ties, duplicates) otherwise."""
+    rng = np.random.default_rng(seed)
+    if spec.startswith("ridge"):
+        return Dataset(rng.standard_normal((n, 2)))
+    if spec == "parity":
+        return Dataset(rng.integers(0, 2, (n, 2)).astype(float))
+    return Dataset(rng.integers(0, 3, (n, 2)).astype(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_error_counts_equal_per_pair_loop(draw):
+    spec = draw.draw(st.sampled_from(ALL_SPECS))
+    n = draw.draw(st.integers(4, 8))
+    data = random_dataset(spec, n, draw.draw(st.integers(0, 2**32 - 1)))
+    masks = draw.draw(st.lists(st.integers(1, 2**n - 2), min_size=1, max_size=12))
+    mat = np.array([[m >> i & 1 for i in range(n)] for m in masks], dtype=np.uint8)
+    learner = make_learner(spec)
+    # A small block bound makes the reduction cross block boundaries.
+    block = draw.draw(st.sampled_from([1, 50, 400, learners._BLOCK_ELEMENTS]))
+    with mock.patch.object(learners, "_BLOCK_ELEMENTS", block):
+        batch = learner.error_counts(data, mat)
+    assert np.array_equal(batch, Learner.error_counts(learner, data, mat))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exact_null_edge_sum_identity(draw):
+    spec = draw.draw(st.sampled_from(ALL_SPECS))
+    n = draw.draw(st.integers(4, 9))
+    w = draw.draw(st.integers(1, n - 1))
+    data = random_dataset(spec, n, draw.draw(st.integers(0, 2**32 - 1)))
+    counts = exact_null_distribution(make_learner(spec), data, w).counts
+    # Each Johnson-graph edge is an error in exactly one of its two labelings.
+    assert sum(counts) == comb(n, w)
+    assert 2 * sum(k * c for k, c in enumerate(counts)) == comb(n, w) * w * (n - w)
+
+
+class FirstFeatureLearner(Learner):
+    """A user learner that defines only pair_bit."""
+
+    def pair_bit(self, data, labeling, low, high):
+        f = data.features[:, 0]
+        return int(f[low] > f[high])
+
+
+def test_learner_with_only_pair_bit():
+    data = gaussian_data(6, 2, 3)
+    labs = list(iter_words(6, 3))
+    expected = ConstantLearner(feature=0).error_counts(data, labs)
+    assert np.array_equal(FirstFeatureLearner().error_counts(data, labs), expected)

@@ -8,6 +8,7 @@ from lightcodes.datagen import Dataset, generate_data
 from lightcodes.johnson import ResourceLimitError, count_w_light
 from lightcodes.learners import (
     ConstantLearner,
+    Learner,
     OrderDirectionLearner,
     ParityLearner,
     RandomOrientationLearner,
@@ -187,6 +188,19 @@ def test_orientation_of_learner_matches_histogram():
         assert hist.counts == exact_null_distribution(learner, data, 2).counts
         for W in range(0, 7):
             assert count_w_light(orientation, W) == hist.cumulative(W)
+
+
+class PeekingLearner(Learner):
+    """Reads the held-out label: breaks the label-switch constraint."""
+
+    def pair_bit(self, data, labeling, low, high):
+        return labeling.bit(low)
+
+
+def test_orientation_of_learner_checks_label_switch():
+    data = Dataset(np.random.default_rng(44).standard_normal((5, 1)))
+    with pytest.raises(AssertionError, match="label-switch"):
+        orientation_of_learner(PeekingLearner(), data, 2)
 
 
 def test_histogram_helpers():
