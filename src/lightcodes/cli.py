@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
@@ -22,12 +21,7 @@ from .experiments import (
 )
 from .johnson import ResourceLimitError, write_orientation_file
 from .learners import make_learner
-from .lpocv import (
-    MC_EXACT_THRESHOLD,
-    exact_null_distribution,
-    histogram_from_errors,
-    sample_labelings,
-)
+from .lpocv import histogram_from_errors, null_error_counts
 from .wilcoxon import wmw_critical
 from .words import read_word_file, write_word_file
 
@@ -62,6 +56,26 @@ def _parse_range(text: str) -> range:
         return range(int(lo), int(lo) + 1)
     except ValueError:
         raise UsageError(f"bad range {text!r}, expected LO..HI") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
+def _sample_sizes(text: str) -> tuple[int, ...]:
+    """argparse type for --sizes: comma-separated even sample sizes."""
+    sizes = tuple(_positive_int(part) for part in text.split(","))
+    for size in sizes:
+        if size % 2:
+            raise argparse.ArgumentTypeError(f"sample size {size} must be even")
+    return sizes
 
 
 def _out_stream(path):
@@ -225,28 +239,21 @@ def _simulate_null(args, learner) -> list[str]:
     n, w = args.n, args.w
     if args.over_samples:
         errors = replicate_error_counts(learner, args.scenario, n, w, args.reps, args.seed)
-        hist = histogram_from_errors(errors, n, w)
     else:
         data, _ = generate_data(args.scenario, n, w, args.seed)
-        if comb(n, w) <= MC_EXACT_THRESHOLD:
-            hist = exact_null_distribution(learner, data, w)
-        else:
-            mat = sample_labelings(n, w, args.permutations, (args.seed, 1))
-            hist = histogram_from_errors(learner.error_counts(data, mat), n, w)
+        errors, _ = null_error_counts(learner, data, w, args.permutations, (args.seed, 1))
+    hist = histogram_from_errors(errors, n, w)
     lines = ["errors,count"]
     lines += [f"{k},{c}" for k, c in enumerate(hist.counts)]
     return lines
 
 
 def _simulate_type2(args, learner) -> list[str]:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     table = {}
-    for size in sizes:
-        if size % 2 != 0:
-            raise UsageError(f"sample size {size} must be even")
+    for size in args.sizes:
         w = size // 2
         table[(w, size - w)] = wmw_critical(args.alpha, size, w)
-    results = type2_experiment(learner, args.scenario, sizes, table, args.reps, args.seed)
+    results = type2_experiment(learner, args.scenario, args.sizes, table, args.reps, args.seed)
     lines = ["size,failure_proportion"]
     lines += [f"{size},{float(frac)!r}" for size, frac in results.items()]
     return lines
@@ -329,12 +336,13 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", default="null-gauss-10d")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--w", type=int, default=10)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--permutations", type=int, default=1000)
+    p.add_argument("--reps", type=_positive_int, default=1000)
+    p.add_argument("--permutations", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--over-samples", action="store_true",
                    help="null mode: histogram over fresh samples instead of labelings")
-    p.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES))
+    p.add_argument("--sizes", type=_sample_sizes,
+                   default=",".join(str(s) for s in DEFAULT_SIZES))
     p.add_argument("--alpha", default="0.05")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

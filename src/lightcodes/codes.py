@@ -159,8 +159,6 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
     """
     if n < 4 * W:
         raise ValueError(f"Graham-Sloane construction needs n >= 4W, got n={n}, W={W}")
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
     classes = tau_classes(n, w, W)
     best = max(range(len(classes)), key=lambda i: len(classes[i]))
     return _with_euler_witness(n, w, W, classes[best])
@@ -173,14 +171,10 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
         candidates.append(construct_tournament(n, W))
     if w == 2 and n >= 3:
         candidates.append(construct_orbit(n, W))
-    if w in (n - 1, n - 2) and n - w in (1, 2):
-        base = (
-            construct_tournament(n, W) if n - w == 1 else construct_orbit(n, W)
-        )
-        flipped = tuple(word.complement() for word in base.words)
-        g = build_induced(JohnsonGraph(n, w), flipped)
-        witness = eulerian_orientation(g)
-        candidates.append(LightCode(n, w, W, flipped, witness))
+    if n - w in (1, 2):
+        base = construct_tournament(n, W) if n - w == 1 else construct_orbit(n, W)
+        flipped = [word.complement() for word in base.words]
+        candidates.append(_with_euler_witness(n, w, W, flipped))
     if n >= 4 * W and comb(n, w) <= 10**5:
         candidates.append(construct_graham_sloane(n, w, W))
     if not candidates:

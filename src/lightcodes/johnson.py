@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .words import Word, rank, unrank
+from .words import Word, _check_params, iter_words, neighbor_masks, neighbors, rank, unrank
 
 MATERIALIZE_LIMIT = 10**6
 
@@ -35,8 +35,7 @@ class JohnsonGraph:
     w: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.w < self.n:
-            raise ValueError(f"need 0 < w < n, got n={self.n}, w={self.w}")
+        _check_params(self.n, self.w)
 
     @property
     def num_vertices(self) -> int:
@@ -54,12 +53,7 @@ class JohnsonGraph:
         return unrank(self.n, self.w, r)
 
     def neighbor_ranks(self, r: int) -> list[int]:
-        word = self.word(r)
-        out = []
-        for i in word.support():
-            for j in word.zeros():
-                out.append(rank(Word(word.mask ^ (1 << i) ^ (1 << j), self.n, self.w)))
-        return out
+        return [rank(v) for v in neighbors(self.word(r))]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min rank, max rank) pairs, sorted."""
@@ -68,13 +62,9 @@ class JohnsonGraph:
                 f"J({self.n},{self.w}) has {self.num_vertices} vertices, "
                 f"over the materialization limit {MATERIALIZE_LIMIT}"
             )
-        out = []
-        for r in range(self.num_vertices):
-            for s in self.neighbor_ranks(r):
-                if s > r:
-                    out.append((r, s))
-        out.sort()
-        return out
+        # In colex order a word's position is its rank.
+        index = {word.mask: r for r, word in enumerate(iter_words(self.n, self.w))}
+        return _edges_among(index, self.n)
 
     def full_subgraph(self) -> "InducedSubgraph":
         return InducedSubgraph(self, frozenset(range(self.num_vertices)), tuple(self.edges()))
@@ -103,28 +93,35 @@ class InducedSubgraph:
         return len(self.vertices) == self.parent.num_vertices
 
 
+def _edges_among(index: dict[int, int], n: int) -> list[tuple[int, int]]:
+    """Sorted edges (r, s), r < s, among the vertices of ``index`` ({mask: rank})."""
+    edges = []
+    for mask, r in index.items():
+        for m in neighbor_masks(mask, n):
+            s = index.get(m)
+            if s is not None and s > r:
+                edges.append((r, s))
+    edges.sort()
+    return edges
+
+
 def build_induced(graph: JohnsonGraph, vertices) -> InducedSubgraph:
     """Induced subgraph on the given words or ranks."""
-    ranks = set()
+    index: dict[int, int] = {}
     for v in vertices:
         if isinstance(v, Word):
             if v.n != graph.n or v.w != graph.w:
                 raise ValueError(
                     f"word {v} has parameters ({v.n},{v.w}), expected ({graph.n},{graph.w})"
                 )
-            ranks.add(rank(v))
+            index[v.mask] = rank(v)
         else:
             r = int(v)
             if not 0 <= r < graph.num_vertices:
                 raise ValueError(f"rank {r} out of range for J({graph.n},{graph.w})")
-            ranks.add(r)
-    edges = []
-    for r in ranks:
-        for s in graph.neighbor_ranks(r):
-            if s in ranks and s > r:
-                edges.append((r, s))
-    edges.sort()
-    return InducedSubgraph(graph, frozenset(ranks), tuple(edges))
+            index[unrank(graph.n, graph.w, r).mask] = r
+    edges = _edges_among(index, graph.n)
+    return InducedSubgraph(graph, frozenset(index.values()), tuple(edges))
 
 
 @dataclass(frozen=True)

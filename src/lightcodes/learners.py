@@ -112,8 +112,10 @@ class Learner(ABC):
     def error_counts(self, data: Dataset, labelings) -> np.ndarray:
         """LPOCV error count per labeling; generic per-pair loop."""
         mat = bit_matrix(labelings, data.n)
-        out = np.empty(len(mat), dtype=np.int64)
+        out = np.zeros(len(mat), dtype=np.int64)
         for idx, y in enumerate(mat):
+            if not 0 < y.sum() < data.n:
+                continue  # a constant row has no differently-labeled pair
             word = Word.from_support(data.n, np.flatnonzero(y))
             errs = 0
             for i in word.support():

@@ -19,7 +19,7 @@ from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, ResourceLimitError
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
-from .words import Word, _check_params, iter_words, rank
+from .words import Word, _check_params, iter_words
 
 EXACT_NULL_LIMIT = 10**6
 MC_EXACT_THRESHOLD = 10**5
@@ -93,6 +93,21 @@ def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
     return out
 
 
+def null_error_counts(
+    learner: Learner, data: Dataset, w: int, M: int, seed, exact: bool | None = None
+) -> tuple[np.ndarray, bool]:
+    """Error counts of the permutation null, and whether they are exact: every
+    labeling of S(n,w) when C(n,w) <= 10^5 (``exact`` overrides this choice),
+    else the M labelings of ``sample_labelings(n, w, M, seed)``."""
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    if exact is None:
+        exact = comb(data.n, w) <= MC_EXACT_THRESHOLD
+    if exact:
+        return _all_error_counts(learner, data, w), True
+    return learner.error_counts(data, sample_labelings(data.n, w, M, seed)), False
+
+
 def mc_null_pvalue(
     learner: Learner,
     data: Dataset,
@@ -106,22 +121,11 @@ def mc_null_pvalue(
 
     Monte-Carlo mode draws M labelings and applies the add-one correction
     (1 + #{errors <= observed}) / (M + 1); when C(n,w) <= 10^5 the full
-    enumeration is used instead (``exact`` overrides the automatic choice).
+    enumeration is used instead (see ``null_error_counts``).
     """
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    n = data.n
-    total = comb(n, w)
-    if exact is None:
-        exact = total <= MC_EXACT_THRESHOLD
-    if exact:
-        errors = _all_error_counts(learner, data, w)
-        hits = int((errors <= observed_errors).sum())
-        return Fraction(hits, total)
-    mat = sample_labelings(n, w, M, seed)
-    errors = learner.error_counts(data, mat)
+    errors, exact = null_error_counts(learner, data, w, M, seed, exact)
     hits = int((errors <= observed_errors).sum())
-    return Fraction(1 + hits, M + 1)
+    return Fraction(hits, len(errors)) if exact else Fraction(1 + hits, M + 1)
 
 
 def orientation_of_learner(
@@ -138,23 +142,21 @@ def orientation_of_learner(
     graph = JohnsonGraph(n, w)
     if graph.num_vertices > 10**4:
         raise ResourceLimitError("orientation extraction is for small S(n,w) only")
-    words = list(iter_words(n, w))
-    mat = bit_matrix(words, n)
+    mat = bit_matrix(list(iter_words(n, w)), n)  # row r is the labeling of rank r
     lows, highs = np.triu_indices(n, 1)
-    direction: dict[tuple[int, int], tuple[int, int]] = {}
-    counts = [0] * (graph.degree + 1)
-    for start, errors in pair_errors(learner, data, mat, lows, highs):
-        for word, y, errs in zip(words[start:], mat[start:], errors):
-            r = rank(word)
-            for k in np.flatnonzero(y[lows] != y[highs]).tolist():
-                s = rank(Word(word.mask ^ (1 << int(lows[k])) ^ (1 << int(highs[k])), n, w))
-                key = (min(r, s), max(r, s))
-                arc = (r, s) if errs[k] else (s, r)
-                if direction.setdefault(key, arc) != arc:
-                    raise AssertionError(
-                        f"edge {key} received two directions; the learner "
-                        "violates the label-switch constraint"
-                    )
-            counts[int(errs.sum())] += 1
-    orientation = Orientation(graph.full_subgraph(), direction)
-    return orientation, EmpiricalNull(n, w, tuple(counts))
+    errors = np.concatenate([errs for _, errs in pair_errors(learner, data, mat, lows, highs)])
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[lows, highs] = np.arange(len(lows))
+    g = graph.full_subgraph()
+    r, s = np.array(g.edges).reshape(-1, 2).T
+    # The two labelings of an edge differ exactly at the two positions of its pair.
+    k = pair[tuple(np.nonzero(mat[r] != mat[s])[1].reshape(-1, 2).T)]
+    first_errs = errors[r, k]
+    clash = np.flatnonzero(first_errs == errors[s, k])
+    if len(clash):
+        raise AssertionError(
+            f"edge {g.edges[clash[0]]} is an error in both or neither of its "
+            "labelings; the learner violates the label-switch constraint"
+        )
+    direction = {e: e if err else e[::-1] for e, err in zip(g.edges, first_errs.tolist())}
+    return Orientation(g, direction), histogram_from_errors(errors.sum(axis=1), n, w)

@@ -89,35 +89,27 @@ class Word:
         return Word(full ^ self.mask, self.n, self.n - self.w)
 
 
-def enumerate_words(n: int, w: int) -> list[Word]:
-    """All words of S(n,w) in colex order of their one-positions.
+def iter_words(n: int, w: int) -> Iterator[Word]:
+    """All words of S(n,w), lazily, in colex order of their one-positions.
 
     Colex order on supports coincides with numeric order of the packed
-    masks, so the successor is Gosper's hack.
+    masks, so a word's position in this sequence is its rank and the
+    successor is Gosper's hack.
     """
-    _check_params(n, w)
-    out = []
-    mask = (1 << w) - 1
-    limit = 1 << n
-    while mask < limit:
-        out.append(Word(mask, n, w))
-        # Gosper's hack: next mask with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-    return out
-
-
-def iter_words(n: int, w: int) -> Iterator[Word]:
-    """Lazy variant of :func:`enumerate_words`."""
     _check_params(n, w)
     mask = (1 << w) - 1
     limit = 1 << n
     while mask < limit:
         yield Word(mask, n, w)
+        # Gosper's hack: next mask with the same popcount.
         low = mask & -mask
         ripple = mask + low
         mask = ripple | (((mask ^ ripple) >> 2) // low)
+
+
+def enumerate_words(n: int, w: int) -> list[Word]:
+    """All words of S(n,w) as a list, in the order of :func:`iter_words`."""
+    return list(iter_words(n, w))
 
 
 def rank(word: Word) -> int:
@@ -162,13 +154,17 @@ def transpose(word: Word, i: int, j: int) -> Word:
     return Word(word.mask ^ (1 << i) ^ (1 << j), word.n, word.w)
 
 
+def neighbor_masks(mask: int, n: int) -> list[int]:
+    """Masks of the w*(n-w) words one transposition away from ``mask``:
+    each one of the length-``n`` word swapped with each zero, in ascending order."""
+    ones = [1 << i for i in range(n) if mask >> i & 1]
+    zeros = [1 << j for j in range(n) if not mask >> j & 1]
+    return [mask ^ one ^ zero for one in ones for zero in zeros]
+
+
 def neighbors(word: Word) -> list[Word]:
     """All w*(n-w) words at Hamming distance exactly 2 from ``word``."""
-    out = []
-    for i in word.support():
-        for j in word.zeros():
-            out.append(Word(word.mask ^ (1 << i) ^ (1 << j), word.n, word.w))
-    return out
+    return [Word(m, word.n, word.w) for m in neighbor_masks(word.mask, word.n)]
 
 
 def read_word_file(path) -> list[Word]:

@@ -6,6 +6,22 @@ import networkx as nx
 import numpy as np
 
 
+def colex_masks(n: int, w: int) -> list[int]:
+    """Every weight-w mask of length n, ascending; a mask's index is its rank."""
+    return sorted(sum(1 << p for p in support) for support in itertools.combinations(range(n), w))
+
+
+def distance_two_pairs(masks) -> list[tuple[int, int]]:
+    """The pairs of ``masks`` that differ in exactly two positions."""
+    return [(a, b) for a, b in itertools.combinations(masks, 2) if bin(a ^ b).count("1") == 2]
+
+
+def johnson_edges(n: int, w: int, masks) -> list[tuple[int, int]]:
+    """Sorted (low rank, high rank) edges of J(n,w) among ``masks``, by brute force."""
+    rank = {m: r for r, m in enumerate(colex_masks(n, w))}
+    return sorted(tuple(sorted((rank[a], rank[b]))) for a, b in distance_two_pairs(set(masks)))
+
+
 def nx_orientable(masks, W: int) -> bool:
     """Whether the Johnson-graph subgraph induced by ``masks`` has an
     orientation with every outdegree <= W, by networkx max-flow.
@@ -14,7 +30,7 @@ def nx_orientable(masks, W: int) -> bool:
     differ in exactly two positions.  The network is source -> edge
     (capacity 1) -> both endpoints (capacity 1) -> sink (capacity W).
     """
-    edges = [(a, b) for a, b in itertools.combinations(masks, 2) if bin(a ^ b).count("1") == 2]
+    edges = distance_two_pairs(masks)
     if not edges:
         return True
     net = nx.DiGraph()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +133,14 @@ def test_lightcode_critical_monotone_in_alpha():
 def test_lightcode_critical_bad_kind():
     with pytest.raises(ValueError):
         lightcode_critical(0.05, 4, 2, "weird")
+
+
+def test_committed_bound_table_matches_library():
+    # Rebuilt as demos/03_codes_and_bounds.py writes it, without running it.
+    records = assemble_table(range(6, 9), range(3, 4), range(0, 3), exact_when_small=True)
+    table = "n,w,W,lower,upper,exact\n" + "".join(
+        f"{r.n},{r.w},{r.W},{r.lower},{r.upper},{'' if r.exact is None else r.exact}\n"
+        for r in records
+    )
+    demo_out = Path(__file__).resolve().parents[1] / "demos" / "out"
+    assert (demo_out / "bound_table.csv").read_bytes() == table.encode()

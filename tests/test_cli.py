@@ -197,6 +197,23 @@ def test_simulate_ridge_without_training_rows(capsys):
     assert code == 1 and "no training rows" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--mode", "type2", "--sizes", "12,0"), "--sizes"),
+        (("--mode", "type2", "--sizes", "12,x"), "--sizes"),
+        (("--mode", "type2", "--sizes", "12,13"), "--sizes"),
+        (("--mode", "null", "--over-samples", "--reps", "0"), "--reps"),
+        (("--mode", "null", "--n", "40", "--w", "20", "--permutations", "0"),
+         "--permutations"),
+        (("--mode", "null", "--permutations", "-3"), "--permutations"),
+    ],
+)
+def test_simulate_rejects_bad_counts(argv, flag, capsys):
+    code, out, err = run(capsys, "simulate", "--learner", "constant", *argv)
+    assert code == 1 and out == "" and flag in err, err
+
+
 def test_exact_l_command(tmp_path, capsys):
     out = tmp_path / "opt.txt"
     code, stdout, _ = run(capsys, "exact-l", "--n", "4", "--w", "2", "--W", "0",

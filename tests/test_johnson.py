@@ -20,7 +20,7 @@ from lightcodes.johnson import (
     write_orientation_file,
 )
 from lightcodes.words import Word, enumerate_words
-from oracles import nx_orientable
+from oracles import colex_masks, johnson_edges, nx_orientable
 
 SMALL_JOHNSON = [(4, 2), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -57,6 +57,30 @@ def test_build_induced():
     assert len(distant.edges) == 0
     with pytest.raises(ValueError):
         build_induced(g, [Word.from_string("110")])
+
+
+@given(st.data())
+def test_build_induced_edges_match_brute_force(data):
+    n, w = data.draw(st.sampled_from(SMALL_JOHNSON))
+    graph = JohnsonGraph(n, w)
+    ranks = data.draw(st.lists(st.integers(0, graph.num_vertices - 1)))
+    all_masks = colex_masks(n, w)
+    masks = [all_masks[r] for r in ranks]
+    expected = johnson_edges(n, w, masks)
+    for vertices in ([Word(m, n, w) for m in masks], ranks):
+        sub = build_induced(graph, vertices)
+        assert sub.vertices == frozenset(ranks)
+        assert list(sub.edges) == expected
+
+
+@pytest.mark.parametrize("n, w", SMALL_JOHNSON)
+def test_full_graph_adjacency_matches_brute_force(n, w):
+    graph = JohnsonGraph(n, w)
+    expected = johnson_edges(n, w, colex_masks(n, w))
+    assert graph.edges() == expected
+    for r in range(graph.num_vertices):
+        want = sorted([s for a, s in expected if a == r] + [a for a, s in expected if s == r])
+        assert sorted(graph.neighbor_ranks(r)) == want
 
 
 def test_eulerian_triangle():

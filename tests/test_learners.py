@@ -192,6 +192,21 @@ def test_batch_equals_naive(spec):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
+def test_constant_rows_have_no_errors_on_both_paths(spec):
+    # An all-0 or all-1 row labels no pair differently, so it has no errors.
+    n = 6
+    learner = make_learner(spec)
+    data = dataset_for(spec, n, seed=77)
+    mat = np.array([[0] * n, [1] * n, [1, 0, 1, 0, 0, 1]], dtype=np.uint8)
+    batch = learner.error_counts(data, mat)
+    assert batch[:2].tolist() == [0, 0]
+    assert np.array_equal(batch, Learner.error_counts(learner, data, mat)), spec
+    for row in mat[:2]:
+        assert learner.error_counts(data, row).tolist() == [0]
+        assert Learner.error_counts(learner, data, row).tolist() == [0]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
 def test_training_permutation_symmetry(spec):
     # Permuting the training rows with their labels, with the held-out
     # pair kept in place, leaves every prediction unchanged.
@@ -271,7 +286,7 @@ def test_kernel_error_counts_equal_per_pair_loop(draw):
     spec = draw.draw(st.sampled_from(ALL_SPECS))
     n = draw.draw(st.integers(4, 8))
     data = random_dataset(spec, n, draw.draw(st.integers(0, 2**32 - 1)))
-    masks = draw.draw(st.lists(st.integers(1, 2**n - 2), min_size=1, max_size=12))
+    masks = draw.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=12))
     mat = np.array([[m >> i & 1 for i in range(n)] for m in masks], dtype=np.uint8)
     learner = make_learner(spec)
     # A small block bound makes the reduction cross block boundaries.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lightcodes.datagen import Dataset, generate_data
-from lightcodes.johnson import ResourceLimitError, count_w_light
+from lightcodes.johnson import ResourceLimitError, count_w_light, outdegree
 from lightcodes.learners import (
     ConstantLearner,
     Learner,
@@ -188,6 +188,33 @@ def test_orientation_of_learner_matches_histogram():
         assert hist.counts == exact_null_distribution(learner, data, 2).counts
         for W in range(0, 7):
             assert count_w_light(orientation, W) == hist.cumulative(W)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["constant;feature=0", "order-direction;feature=0", "parity",
+     "random-orientation;seed=2", "ridge;lambda=1", "knn;k=2"],
+)
+def test_orientation_of_learner_arcs_match_per_pair_reference(spec):
+    n, w = 6, 3
+    if spec == "parity":
+        data, _ = generate_data("parity", n, w, 45)
+    else:
+        data = Dataset(np.random.default_rng(45).standard_normal((n, 3)))
+    learner = make_learner(spec)
+    orientation, hist = orientation_of_learner(learner, data, w)
+    graph = orientation.domain.parent
+    for src, dst in orientation.arcs():
+        a, b = graph.word(src), graph.word(dst)
+        (i,) = set(a.support()) - set(b.support())
+        (j,) = set(b.support()) - set(a.support())
+        # The arc leaves the labeling that errs on the differing pair {i, j}.
+        assert lpo_kernel(learner, data, a, i, j) == 1, (spec, src, dst)
+        assert lpo_kernel(learner, data, b, j, i) == 0, (spec, src, dst)
+    words = list(iter_words(n, w))
+    reference = Learner.error_counts(learner, data, words).tolist()
+    assert [outdegree(orientation, word) for word in words] == reference
+    assert hist.counts == histogram_from_errors(reference, n, w).counts
 
 
 class PeekingLearner(Learner):

@@ -6,6 +6,7 @@ from lightcodes.words import (
     Word,
     enumerate_words,
     hamming,
+    iter_words,
     neighbors,
     rank,
     read_word_file,
@@ -18,6 +19,12 @@ from lightcodes.words import (
 def test_enumerate_counts():
     assert len(enumerate_words(4, 2)) == 6
     assert len(enumerate_words(5, 2)) == 10
+
+
+def test_enumerate_is_iter_words_listed():
+    for n in range(2, 10):
+        for w in range(1, n):
+            assert enumerate_words(n, w) == list(iter_words(n, w))
 
 
 def test_enumerate_weight_one_order():
