@@ -3,7 +3,7 @@
 
 Walks the smallest interesting graph J(4,2): enumerates its words, shows
 the distance-2 adjacency, and contrasts three orientations (Eulerian,
-random, and a max-flow witness for a target outdegree).
+random, and a witness for a target outdegree found by path reversal).
 """
 
 from lightcodes import (
@@ -39,9 +39,11 @@ print("  outdegrees:", [outdegree(euler, r) for r in range(6)])
 print("  2-light vertices:", count_w_light(euler, 2), "of 6")
 print("  1-light vertices:", count_w_light(euler, 1), "of 6")
 
-print("\nCan every vertex get outdegree <= 1?  Max-flow says:")
+print("\nCan every vertex get outdegree <= 1?  Counting edges says no:")
 ok, _ = orientation_feasible(full, 1)
 print("  feasible at W=1:", ok, " (12 edges > 1*6 vertices)")
+ok, witness = orientation_feasible(full, 2)
+print("  feasible at W=2:", ok, " witness outdegrees:", [outdegree(witness, r) for r in range(6)])
 print("  smallest feasible bound:", min_max_outdegree(full))
 
 rand = random_orientation(graph, seed=42)

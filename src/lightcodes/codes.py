@@ -19,6 +19,7 @@ from .johnson import (
     InducedSubgraph,
     JohnsonGraph,
     Orientation,
+    OrientedSet,
     ResourceLimitError,
     build_induced,
     eulerian_orientation,
@@ -64,7 +65,7 @@ class LightCode:
 
 
 def verify_light(code: LightCode) -> tuple[bool, Orientation | None]:
-    """Check W-lightness of the code's induced subgraph, via max-flow."""
+    """Check W-lightness of the code's induced subgraph; see ``orientation_feasible``."""
     return orientation_feasible(code.induced_subgraph(), code.W)
 
 
@@ -214,116 +215,19 @@ def johnson_upper(n: int, w: int, W: int) -> int:
     return min(jb1, jb2, comb(n, w))
 
 
-class _OrientedSet:
-    """A growing vertex set of J(n,w), kept oriented with outdegrees <= W.
-
-    Vertices are ranks; ``adj[v]`` is the neighbor bitmask of vertex v and
-    ``out[v]`` the bitmask of arc heads leaving v.  A pushed vertex orients each edge to
-    the chosen set toward an endpoint with slack (outdegree < W); when
-    neither has slack the edge leaves the new vertex, which then sheds the
-    excess along a reversed directed path to a vertex with slack.  If no
-    such path exists, the vertices reachable from the new one span more
-    than W per vertex (Hakimi 1965; Frank & Gyarfas 1976), so the set is
-    infeasible: the same verdict as max-flow.  Every arc change goes on a
-    trail, and pop() undoes the last push exactly.
-    """
-
-    def __init__(self, graph: JohnsonGraph, W: int):
-        total = graph.num_vertices
-        self.adj = [sum(1 << s for s in graph.neighbor_ranks(r)) for r in range(total)]
-        self.W = W
-        self.members = 0
-        self.out = [0] * total
-        self.outdeg = [0] * total
-        self.trail: list[tuple[int, int, bool]] = []  # (tail, head, arc is new)
-        self.pushed: list[tuple[int, int]] = []  # (vertex, trail length before it)
-
-    def _arc(self, a: int, b: int) -> None:
-        self.out[a] |= 1 << b
-        self.outdeg[a] += 1
-        self.trail.append((a, b, True))
-
-    def _relieve(self, s: int) -> bool:
-        """Reverse a directed path from s to a vertex with slack, if any."""
-        out, outdeg, W = self.out, self.outdeg, self.W
-        parent = {s: s}
-        seen = 1 << s
-        queue = [s]
-        for x in queue:
-            fresh = out[x] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                y = low.bit_length() - 1
-                parent[y] = x
-                if outdeg[y] < W:
-                    while y != s:
-                        x = parent[y]
-                        out[x] ^= 1 << y
-                        out[y] |= 1 << x
-                        outdeg[x] -= 1
-                        outdeg[y] += 1
-                        self.trail.append((y, x, False))
-                        y = x
-                    return True
-                queue.append(y)
-        return False
-
-    def push(self, v: int) -> bool:
-        """Add v to the set; on infeasibility leave the state as it was."""
-        outdeg, W = self.outdeg, self.W
-        self.pushed.append((v, len(self.trail)))
-        todo = self.adj[v] & self.members
-        self.members |= 1 << v
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            u = low.bit_length() - 1
-            if outdeg[v] < W:
-                self._arc(v, u)
-            elif outdeg[u] < W:
-                self._arc(u, v)
-            else:
-                self._arc(v, u)
-                if not self._relieve(v):
-                    self.pop()
-                    return False
-        return True
-
-    def pop(self) -> None:
-        """Remove the most recently pushed vertex and undo its arc changes."""
-        v, mark = self.pushed.pop()
-        out, outdeg, trail = self.out, self.outdeg, self.trail
-        while len(trail) > mark:
-            a, b, new = trail.pop()
-            out[a] ^= 1 << b
-            outdeg[a] -= 1
-            if not new:
-                out[b] |= 1 << a
-                outdeg[b] += 1
-        self.members &= ~(1 << v)
-
-    def fits(self, v: int) -> bool:
-        """Whether v could be pushed now; the state is left unchanged."""
-        if self.push(v):
-            self.pop()
-            return True
-        return False
-
-
 def exact_L(n: int, w: int, W: int, return_code: bool = False):
     """Exact maximum size of a W-light (n,w) code, by branch and bound.
 
     The chosen set keeps one orientation with every outdegree <= W for
-    the whole search and is updated incrementally (see ``_OrientedSet``);
-    no max-flow runs per node.  Feasibility is monotone under subsets, so
-    after every include each candidate that no longer fits on its own is
-    dropped, and a branch dies when |chosen| + |candidates| cannot beat
-    the incumbent.  J(n,w) is vertex-transitive, so the root only takes
+    the whole search and is updated incrementally (see
+    ``johnson.OrientedSet``), over the adjacency of ``JohnsonGraph.edges``.
+    Feasibility is monotone under subsets, so after every include each
+    candidate that no longer fits on its own is dropped, and a branch dies
+    when |chosen| + |candidates| cannot beat the incumbent.  J(n,w) is vertex-transitive, so the root only takes
     its include branch.  The incumbent starts from the best closed-form
     construction, and the search stops once it meets ``johnson_upper``.
-    The returned code is re-verified by max-flow.
+    The returned code is re-verified by ``orientation_feasible``, whose
+    witness is checked edge by edge.
     """
     if not 0 < w < n:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
@@ -341,7 +245,7 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     best_size = incumbent.size
     best_ranks = sorted(rank(word) for word in incumbent.words)
 
-    state = _OrientedSet(graph, W)
+    state = OrientedSet(total, graph.edges(), W)
 
     def extend(candidates: list[int]) -> bool:
         """Branch on the candidates in order; True once the incumbent meets ``upper``."""
@@ -372,6 +276,6 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     if not ok:
         raise AssertionError(
             f"exact_L(n={n}, w={w}, W={W}) found a code of size {best_size} "
-            f"that fails max-flow verification"
+            f"that fails orientation verification"
         )
     return (best_size, LightCode(n, w, W, words, witness)) if return_code else best_size

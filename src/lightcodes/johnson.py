@@ -6,9 +6,10 @@ to every edge; the outdegree of a vertex under an orientation is the
 number of arcs leaving it.  Vertices are handled by their colex rank.
 
 Feasibility of "orient every edge so no vertex exceeds outdegree W" is
-decided by max-flow on the standard edge/vertex bipartite network; the
-constructive counterpart for max degree <= 2W is the Eulerian orientation
-(with virtual edges pairing odd-degree vertices).
+decided by one path-reversal engine, ``OrientedSet``, which also drives
+the exact search in ``codes``; both of its verdicts come with a checked
+certificate.  The constructive counterpart for max degree <= 2W is the
+Eulerian orientation (with virtual edges pairing odd-degree vertices).
 """
 
 from __future__ import annotations
@@ -212,70 +213,110 @@ def eulerian_orientation(g: InducedSubgraph) -> Orientation:
     return Orientation(g, direction)
 
 
-class _Dinic:
-    """Deterministic max-flow on a small unit-ish capacity network."""
+class OrientedSet:
+    """A growing vertex set of a graph, kept oriented with outdegrees <= W.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+    Vertices are local ids 0..k-1: ``adj[v]`` lists the neighbors of v
+    and ``out[v]`` is the set of arc heads leaving v.  A pushed vertex
+    orients each edge to the set toward an endpoint with slack (outdegree
+    < W); when neither has slack the edge leaves the new vertex, which
+    then sheds the excess along a reversed directed path to a vertex with
+    slack (Hakimi 1965; Frank & Gyarfas 1976).  If no such path exists,
+    every arc leaving the set R of vertices reachable from the new one
+    stays in R and R carries W*|R| + 1 of them, so no orientation exists.
+    A refused push keeps R, and ``check_refusal`` verifies from the
+    adjacency alone that R spans more than W*|R| edges.  Every arc change
+    goes on a trail, and pop() undoes the last push exactly.
+    """
 
-    def add_edge(self, u: int, v: int, c: int) -> int:
-        eid = len(self.to)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[u].append(eid)
-        self.to.append(u)
-        self.cap.append(0)
-        self.head[v].append(eid + 1)
-        return eid
+    def __init__(self, num_vertices: int, edges, W: int):
+        self.adj: list[list[int]] = [[] for _ in range(num_vertices)]
+        for a, b in edges:
+            self.adj[a].append(b)
+            self.adj[b].append(a)
+        self.W = W
+        self.member = [False] * num_vertices
+        self.out: list[set[int]] = [set() for _ in range(num_vertices)]
+        self.trail: list[tuple[int, int, bool]] = []  # (tail, head, arc is new)
+        self.pushed: list[tuple[int, int]] = []  # (vertex, trail length before it)
+        self.refused = None  # the vertices the last refused push reached
 
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
+    def _relieve(self, s: int):
+        """Reverse a path from s to a vertex with slack, or return what s reaches."""
+        out, W = self.out, self.W
+        parent = {s: s}
+        queue = [s]
+        for x in queue:
+            for y in out[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if len(out[y]) < W:
+                    # Returning right away keeps out[x] unchanged during its iteration.
+                    while y != s:
+                        x = parent[y]
+                        out[x].remove(y)
+                        out[y].add(x)
+                        self.trail.append((y, x, False))
+                        y = x
+                    return None
+                queue.append(y)
+        return parent.keys()
 
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    eid = self.head[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
+    def check_refusal(self) -> None:
+        """Certify the last refused push: what it reached spans > W edges per vertex."""
+        reached = self.refused
+        twice = sum(u in reached for x in reached for u in self.adj[x])
+        if twice <= 2 * self.W * len(reached):
+            raise AssertionError(
+                f"push refused, but the {len(reached)} vertices it reached span only "
+                f"{twice // 2} edges, at most W = {self.W} per vertex"
+            )
 
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
+    def push(self, v: int) -> bool:
+        """Add v to the set; on infeasibility leave the state as it was."""
+        out, member, trail, W = self.out, self.member, self.trail, self.W
+        self.pushed.append((v, len(trail)))
+        member[v] = True
+        for u in self.adj[v]:
+            if not member[u]:
+                continue
+            a, b = (u, v) if len(out[v]) >= W > len(out[u]) else (v, u)
+            out[a].add(b)
+            trail.append((a, b, True))
+            if len(out[v]) > W:
+                reached = self._relieve(v)
+                if reached is not None:
+                    self.refused = reached
+                    self.pop()
+                    return False
+        return True
+
+    def pop(self) -> None:
+        """Remove the most recently pushed vertex and undo its arc changes."""
+        v, mark = self.pushed.pop()
+        out, trail = self.out, self.trail
+        while len(trail) > mark:
+            a, b, new = trail.pop()
+            out[a].remove(b)
+            if not new:
+                out[b].add(a)
+        self.member[v] = False
+
+    def fits(self, v: int) -> bool:
+        """Whether v could be pushed now; the state is left unchanged."""
+        if self.push(v):
+            self.pop()
+            return True
+        return False
 
 
 def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation | None]:
     """Decide whether ``g`` has an orientation with every outdegree <= W.
 
-    Network: source -> one node per edge (capacity 1) -> the edge's two
-    endpoints (capacity 1) -> sink (capacity W per vertex).  Feasible iff
-    the max-flow saturates all edges; the saturated endpoint of each edge
-    node is the arc's tail.
+    Every vertex is pushed into one ``OrientedSet``.  A refused push
+    certifies infeasibility by a dense vertex set; an accepted witness is
+    checked to orient each edge once with every outdegree <= W.
     """
     if W < 0:
         raise ValueError("W must be nonnegative")
@@ -283,46 +324,37 @@ def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation 
     if m == 0:
         return True, Orientation(g, {})
     if m > W * len(g.vertices):
-        return False, None  # density obstruction, no flow needed
+        return False, None  # density obstruction, no search needed
     verts = sorted(g.vertices)
     vid = {v: i for i, v in enumerate(verts)}
-    # Nodes: 0 = source, 1..m = edges, m+1..m+|V| = vertices, last = sink.
-    net = _Dinic(m + len(verts) + 2)
-    sink = m + len(verts) + 1
-    endpoint_eids = []
-    for k, (a, b) in enumerate(g.edges):
-        net.add_edge(0, 1 + k, 1)
-        ea = net.add_edge(1 + k, 1 + m + vid[a], 1)
-        eb = net.add_edge(1 + k, 1 + m + vid[b], 1)
-        endpoint_eids.append((ea, eb))
+    local = [(vid[a], vid[b]) for a, b in g.edges]
+    state = OrientedSet(len(verts), local, W)
     for i in range(len(verts)):
-        net.add_edge(1 + m + i, sink, W)
-    if net.max_flow(0, sink) != m:
-        return False, None
+        if not state.push(i):
+            state.check_refusal()
+            return False, None
+    out = state.out
     direction = {}
-    for k, (a, b) in enumerate(g.edges):
-        ea, eb = endpoint_eids[k]
-        if net.cap[ea] == 0:  # saturated: edge charged to endpoint a
-            direction[(a, b)] = (a, b)
-        elif net.cap[eb] == 0:
-            direction[(a, b)] = (b, a)
-        else:
-            raise AssertionError(f"max-flow left edge ({a},{b}) unassigned")
-    return True, Orientation(g, direction)
+    for e, (x, y) in zip(g.edges, local):
+        forward = y in out[x]
+        if forward == (x in out[y]):
+            raise AssertionError(f"witness does not orient edge {e} exactly once")
+        direction[e] = e if forward else (e[1], e[0])
+    witness = Orientation(g, direction)
+    if witness.max_outdegree() > W:
+        raise AssertionError(f"witness has outdegree {witness.max_outdegree()} > W = {W}")
+    return True, witness
 
 
 def min_max_outdegree(g: InducedSubgraph) -> int:
-    """Smallest W for which an outdegree-<=W orientation of ``g`` exists."""
-    if not g.edges:
-        return 0
-    lo, hi = 0, (g.max_degree() + 1) // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if orientation_feasible(g, mid)[0]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Smallest W for which an outdegree-<=W orientation of ``g`` exists.
+
+    No W below ceil(|E|/|V|) can work, so the scan starts there.
+    """
+    W = -(-len(g.edges) // max(len(g.vertices), 1))
+    while not orientation_feasible(g, W)[0]:
+        W += 1
+    return W
 
 
 def random_orientation(graph: JohnsonGraph, seed) -> Orientation:
@@ -368,7 +400,8 @@ def read_orientation_file(path) -> tuple[int, int, list[tuple[Word, Word]]]:
 
 def write_orientation_file(path, orientation: Orientation) -> None:
     graph = orientation.domain.parent
+    bits = {r: str(graph.word(r)) for r in orientation.domain.vertices}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{graph.n} {graph.w}\n")
         for src, dst in orientation.arcs():
-            fh.write(f"{graph.word(src)} -> {graph.word(dst)}\n")
+            fh.write(f"{bits[src]} -> {bits[dst]}\n")

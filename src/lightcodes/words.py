@@ -10,6 +10,7 @@ the combinatorial number system.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -45,7 +46,7 @@ class Word:
     def from_support(cls, n: int, positions) -> "Word":
         """Word with ones exactly at the given 0-based positions."""
         mask = 0
-        for p in positions:
+        for p in map(operator.index, positions):  # a numpy int would wrap at 1 << 63
             if not 0 <= p < n:
                 raise ValueError(f"position {p} out of range for length {n}")
             mask |= 1 << p

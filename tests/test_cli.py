@@ -234,7 +234,7 @@ def test_exact_l_verification_failure_exits_4(monkeypatch, capsys):
 
     monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
     code, _, err = run(capsys, "exact-l", "--n", "6", "--w", "3", "--W", "1")
-    assert code == 4 and "max-flow verification" in err
+    assert code == 4 and "fails orientation verification" in err
 
 
 def test_unknown_subcommand(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lightcodes import codes
 from lightcodes.codes import (
     LightCode,
-    _OrientedSet,
     best_construction,
     construct_graham_sloane,
     construct_orbit,
@@ -20,9 +19,9 @@ from lightcodes.codes import (
 )
 from lightcodes.johnson import (
     JohnsonGraph,
+    OrientedSet,
     ResourceLimitError,
     build_induced,
-    orientation_feasible,
 )
 from lightcodes.words import Word, enumerate_words, hamming, transpose
 from oracles import nx_orientable
@@ -31,7 +30,7 @@ from oracles import nx_orientable
 def brute_force_L(n: int, w: int, W: int) -> int:
     """Largest W-light code by trying every subset and every orientation.
 
-    Completely independent of the max-flow solver and the branch and
+    Completely independent of the orientation engine and the branch and
     bound; only usable for tiny S(n,w).
     """
     graph = JohnsonGraph(n, w)
@@ -204,7 +203,7 @@ def test_exact_L_rejects_negative_W():
 def test_exact_L_fails_loudly_when_verification_fails(monkeypatch):
     monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
     for return_code in (False, True):
-        with pytest.raises(AssertionError, match="max-flow verification"):
+        with pytest.raises(AssertionError, match="fails orientation verification"):
             exact_L(6, 3, 1, return_code=return_code)
 
 
@@ -222,13 +221,12 @@ def test_best_construction_is_light():
         assert verify_light(code)[0]
 
 
-def _check_oriented_set(state: _OrientedSet, graph: JohnsonGraph, chosen: list[int], W: int):
+def _check_oriented_set(state: OrientedSet, graph: JohnsonGraph, chosen: list[int], W: int):
     """The state holds exactly ``chosen``, oriented edge by edge with outdegrees <= W."""
-    assert state.members == sum(1 << v for v in chosen)
+    assert [v for v, inside in enumerate(state.member) if inside] == sorted(chosen)
     arcs = set()
-    for v in range(graph.num_vertices):
-        heads = [u for u in range(graph.num_vertices) if state.out[v] >> u & 1]
-        assert state.outdeg[v] == len(heads) <= W
+    for v, heads in enumerate(state.out):
+        assert len(heads) <= W
         if v not in chosen:
             assert not heads
         arcs.update((v, u) for u in heads)
@@ -242,7 +240,7 @@ def test_oriented_set_agrees_with_max_flow(data):
     n, w = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]))
     W = data.draw(st.integers(0, 3))
     graph = JohnsonGraph(n, w)
-    state = _OrientedSet(graph, W)
+    state = OrientedSet(graph.num_vertices, graph.edges(), W)
     chosen: list[int] = []
     # None pops the last vertex; an integer tries to push that vertex.
     ops = data.draw(st.lists(st.none() | st.integers(0, graph.num_vertices - 1), max_size=40))
@@ -252,12 +250,14 @@ def test_oriented_set_agrees_with_max_flow(data):
                 state.pop()
                 chosen.pop()
         elif op not in chosen:
-            want = orientation_feasible(build_induced(graph, chosen + [op]), W)[0]
+            want = nx_orientable([graph.word(r).mask for r in chosen + [op]], W)
             assert state.fits(op) == want
             _check_oriented_set(state, graph, chosen, W)
             assert state.push(op) == want
             if want:
                 chosen.append(op)
+            else:
+                state.check_refusal()
         _check_oriented_set(state, graph, chosen, W)
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lightcodes import johnson
 from lightcodes.johnson import (
     InducedSubgraph,
     JohnsonGraph,
+    OrientedSet,
     build_induced,
     count_w_light,
     eulerian_orientation,
@@ -19,14 +21,14 @@ from lightcodes.johnson import (
     read_orientation_file,
     write_orientation_file,
 )
-from lightcodes.words import Word, enumerate_words
+from lightcodes.words import Word, enumerate_words, unrank
 from oracles import colex_masks, johnson_edges, nx_orientable
 
 SMALL_JOHNSON = [(4, 2), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]
 
 
 def brute_force_feasible(g: InducedSubgraph, W: int) -> bool:
-    """Try all 2^|E| orientations; independent of the flow solver."""
+    """Try all 2^|E| orientations; independent of the orientation engine."""
     verts = sorted(g.vertices)
     for choice in itertools.product((0, 1), repeat=len(g.edges)):
         outdeg = {v: 0 for v in verts}
@@ -159,6 +161,24 @@ def test_feasible_matches_networkx_max_flow(data):
         assert witness.max_outdegree() <= W
 
 
+def test_wrong_refusal_fails_its_certificate(monkeypatch):
+    # J(4,2) is 2-light, so pushing its last vertices needs a path reversal;
+    # a search that gives up there, having reached only the new vertex, has
+    # no dense set to show for it.
+    full = JohnsonGraph(4, 2).full_subgraph()
+    monkeypatch.setattr(OrientedSet, "_relieve", lambda self, s: {s})
+    with pytest.raises(AssertionError, match="push refused"):
+        orientation_feasible(full, 2)
+
+
+def test_bad_witness_fails_its_certificate(monkeypatch):
+    # Claiming a reversal without doing it leaves a vertex above outdegree W.
+    full = JohnsonGraph(4, 2).full_subgraph()
+    monkeypatch.setattr(OrientedSet, "_relieve", lambda self, s: None)
+    with pytest.raises(AssertionError, match=r"witness has outdegree \d+ > W = 2"):
+        orientation_feasible(full, 2)
+
+
 def test_fact_low_degree_always_feasible():
     # Max degree <= 2W guarantees a W-light orientation of all vertices.
     rng = np.random.default_rng(2)
@@ -238,3 +258,20 @@ def test_orientation_file_roundtrip(tmp_path):
     first = path.read_text().splitlines()
     assert first[0] == "4 2"
     assert "->" in first[1]
+
+
+def test_orientation_file_unranks_each_vertex_once(tmp_path, monkeypatch):
+    graph = JohnsonGraph(6, 3)
+    o = orientation_feasible(graph.full_subgraph(), 5)[1]
+    want = "6 3\n" + "".join(f"{graph.word(a)} -> {graph.word(b)}\n" for a, b in o.arcs())
+    calls = []
+
+    def counted(n, w, r):
+        calls.append(r)
+        return unrank(n, w, r)
+
+    monkeypatch.setattr(johnson, "unrank", counted)
+    path = tmp_path / "wit.txt"
+    write_orientation_file(path, o)
+    assert path.read_text() == want
+    assert sorted(calls) == list(range(graph.num_vertices))
