@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from lightcodes import q_count, wmw_critical, wmw_distribution
+from lightcodes import q_count, wmw_critical, wmw_critical_grid, wmw_distribution
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -37,10 +37,11 @@ print("  wrote", path)
 
 print("\n5% critical grid (rows = ones, cols = zeros), sizes 1..20:")
 path = OUT / "wilcoxon_criticals_20x20.csv"
+grid = wmw_critical_grid("0.05", 20)
 with open(path, "w") as fh:
     fh.write("w," + ",".join(str(z) for z in range(1, 21)) + "\n")
     for ones in range(1, 21):
-        cells = [wmw_critical("0.05", ones + zeros, ones) for zeros in range(1, 21)]
+        cells = [grid[(ones, zeros)] for zeros in range(1, 21)]
         fh.write(str(ones) + "," + ",".join("" if c is None else str(c) for c in cells) + "\n")
         if ones in (1, 5, 10, 20):
             shown = " ".join("." if c is None else f"{c:3d}" for c in cells)

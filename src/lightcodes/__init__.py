@@ -70,6 +70,7 @@ from .wilcoxon import (
     NullDistribution,
     q_count,
     wmw_critical,
+    wmw_critical_grid,
     wmw_distribution,
     wmw_pvalue,
 )

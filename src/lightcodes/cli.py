@@ -22,7 +22,7 @@ from .experiments import (
 from .johnson import ResourceLimitError, write_orientation_file
 from .learners import make_learner
 from .lpocv import histogram_from_errors, null_error_counts
-from .wilcoxon import wmw_critical
+from .wilcoxon import wmw_critical, wmw_critical_grid
 from .words import read_word_file, write_word_file
 
 EXIT_OK = 0
@@ -160,8 +160,6 @@ def _read_configs(path) -> list[tuple[str, str, int]]:
 
 
 def cmd_critical(args) -> int:
-    if args.max_size < 1:
-        raise UsageError("--max-size must be at least 1")
     cells: dict[tuple[int, int], int | None] = {}
     if args.test == "empirical":
         if not args.configs:
@@ -174,20 +172,13 @@ def cmd_critical(args) -> int:
             for n0 in range(1, args.max_size + 1)
         ]
         cells = empirical_critical_table(configs, args.alpha)
+    elif args.test == "wmw":
+        cells = wmw_critical_grid(args.alpha, args.max_size)
     else:
+        kind = "lower" if args.test == "lightcode-lower" else "upper"
         for w in range(1, args.max_size + 1):
             for n0 in range(1, args.max_size + 1):
-                n = w + n0
-                if args.test == "wmw":
-                    cells[(w, n0)] = wmw_critical(args.alpha, n, w)
-                elif args.test == "lightcode-lower":
-                    cells[(w, n0)] = bounds_mod.lightcode_critical(
-                        args.alpha, n, w, "lower"
-                    )
-                else:
-                    cells[(w, n0)] = bounds_mod.lightcode_critical(
-                        args.alpha, n, w, "upper"
-                    )
+                cells[(w, n0)] = bounds_mod.lightcode_critical(args.alpha, w + n0, w, kind)
     _emit(args.out, _grid_lines(cells, args.max_size))
     return EXIT_OK
 
@@ -305,10 +296,10 @@ def build_parser() -> _Parser:
     p.add_argument("--test", required=True,
                    choices=["wmw", "lightcode-lower", "lightcode-upper", "empirical"])
     p.add_argument("--alpha", default="0.05")
-    p.add_argument("--max-size", type=int, default=20)
+    p.add_argument("--max-size", type=_positive_int, default=20)
     p.add_argument("--configs", default=None,
                    help="empirical mode: file of 'learner;params;scenario;seed' lines")
-    p.add_argument("--reps", type=int, default=200,
+    p.add_argument("--reps", type=_positive_int, default=200,
                    help="empirical mode: replications per cell and config")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_critical)

@@ -214,6 +214,26 @@ def test_simulate_rejects_bad_counts(argv, flag, capsys):
     assert code == 1 and out == "" and flag in err, err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--test", "wmw", "--max-size", "0"), "--max-size"),
+        (("--test", "empirical", "--reps", "0"), "--reps"),
+        (("--test", "empirical", "--reps", "-2"), "--reps"),
+    ],
+)
+def test_critical_rejects_bad_counts(argv, flag, capsys):
+    code, out, err = run(capsys, "critical", *argv)
+    assert code == 1 and out == "" and flag in err, err
+
+
+def test_critical_wmw_grid_over_memory_limit_exits_3(capsys):
+    size = 10**6
+    estimate = (size + 1) * (size * size // 2 + 1) * (size // 4 + 1)
+    code, out, err = run(capsys, "critical", "--test", "wmw", "--max-size", str(size))
+    assert code == 3 and out == "" and str(estimate) in err, err
+
+
 def test_exact_l_command(tmp_path, capsys):
     out = tmp_path / "opt.txt"
     code, stdout, _ = run(capsys, "exact-l", "--n", "4", "--w", "2", "--W", "0",

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -7,12 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lightcodes.johnson import ResourceLimitError
 from lightcodes.lpocv import EmpiricalNull
 from lightcodes.wilcoxon import (
+    GRID_BYTES_LIMIT,
     NullDistribution,
+    _cumulative_counts,
     critical_value,
     q_count,
     wmw_critical,
+    wmw_critical_grid,
     wmw_distribution,
     wmw_pvalue,
 )
@@ -188,6 +193,59 @@ def test_pinned_criticals_to_40(alpha):
     assert got == PINNED_CRITICALS[alpha]
 
 
+@pytest.mark.parametrize("alpha", sorted(PINNED_CRITICALS))
+def test_grid_matches_pinned_criticals_to_40(alpha):
+    # Cells (w, n0) with w, n0 <= 39 cover every 1 <= w < n <= 40.
+    grid = wmw_critical_grid(Fraction(alpha), 39)
+    got = _sha256_lines(
+        f"{n},{w}:" + ("" if c is None else str(c))
+        for n, w in SIZES_TO_40
+        for c in [grid[(w, n - w)]]
+    )
+    assert got == PINNED_CRITICALS[alpha]
+
+
+def test_grid_smallest_sizes():
+    assert wmw_critical_grid("0.05", 1) == {(1, 1): None}
+    assert wmw_critical_grid("0.7", 1) == {(1, 1): 0}
+    assert wmw_critical_grid("0.5", 2) == {(1, 1): None, (1, 2): 0, (2, 1): 0, (2, 2): 1}
+    assert wmw_critical_grid("0.7", 2) == {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+    with pytest.raises(ValueError, match="max_size"):
+        wmw_critical_grid("0.05", 0)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, "1.5", -0.1])
+def test_grid_rejects_alpha_like_critical_value(alpha):
+    with pytest.raises(ValueError) as want:
+        critical_value(alpha, 10, [0])
+    with pytest.raises(ValueError) as got:
+        wmw_critical_grid(alpha, 3)
+    assert str(got.value) == str(want.value)
+
+
+def test_grid_refuses_oversized_before_allocating():
+    size = 10**6
+    estimate = (size + 1) * (size * size // 2 + 1) * (size // 4 + 1)
+    assert estimate > GRID_BYTES_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=str(estimate)):
+            wmw_critical_grid("0.05", size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cumulative_counts_is_a_sequence():
+    cum = _cumulative_counts(4, 2, 8)
+    assert len(cum) == 9
+    assert list(cum) == [1, 2, 4, 5, 6, 6, 6, 6, 6]
+    assert cum[-1] == 6 and cum[2] == 4
+    with pytest.raises(IndexError):
+        cum[9]
+
+
 def test_critical_large_instance():
     assert wmw_critical(0.05, 200, 100) == 4326
 
@@ -200,6 +258,19 @@ def test_critical_value_boundary_is_not_below():
     assert critical_value(0.5, 10, []) is None
     with pytest.raises(ValueError):
         critical_value(1, 10, [0])
+
+
+@given(st.integers(2, 12).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+       st.integers(1, 20), st.data())
+def test_critical_value_bisect_equals_scan(fraction, scale, data):
+    num, den = fraction
+    total = den * scale
+    counts = data.draw(st.lists(st.integers(0, total), max_size=30))
+    if data.draw(st.booleans()):
+        counts.append(num * scale)  # count * den == num * total: exactly alpha
+    counts.sort()
+    alpha = Fraction(num, den)
+    assert critical_value(alpha, total, counts) == critical_value(alpha, total, iter(counts))
 
 
 def sizes(top: int):
@@ -234,9 +305,10 @@ def test_committed_demo_tables_match_library():
     null = "errors,count\n" + "".join(
         f"{k},{c}\n" for k, c in enumerate(wmw_distribution(30, 15).counts)
     )
+    criticals = wmw_critical_grid("0.05", 20)
     grid = "w," + ",".join(str(z) for z in range(1, 21)) + "\n"
     for ones in range(1, 21):
-        cells = [wmw_critical("0.05", ones + zeros, ones) for zeros in range(1, 21)]
+        cells = [criticals[(ones, zeros)] for zeros in range(1, 21)]
         grid += str(ones) + "," + ",".join("" if c is None else str(c) for c in cells) + "\n"
     assert (DEMO_OUT / "wilcoxon_null_30_15.csv").read_bytes() == null.encode()
     assert (DEMO_OUT / "wilcoxon_criticals_20x20.csv").read_bytes() == grid.encode()
