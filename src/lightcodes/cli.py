@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--w-range", required=True)
     p.add_argument("--W-range", required=True)
     p.add_argument("--exact-when-small", action="store_true",
-                   help="run the exhaustive search when C(n,w) <= 24")
+                   help=f"run the exhaustive search when C(n,w) <= {codes_mod.EXACT_SEARCH_LIMIT}")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 

@@ -245,7 +245,7 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     best_size = incumbent.size
     best_ranks = sorted(rank(word) for word in incumbent.words)
 
-    state = OrientedSet(total, graph.edges(), W)
+    state = OrientedSet(total, graph.edges(), [W] * total)
 
     def extend(candidates: list[int]) -> bool:
         """Branch on the candidates in order; True once the incumbent meets ``upper``."""

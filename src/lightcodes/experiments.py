@@ -17,6 +17,7 @@ import numpy as np
 
 from .datagen import generate_data
 from .learners import Learner, make_learner
+from .lpocv import histogram_from_errors
 from .wilcoxon import critical_value
 
 
@@ -30,7 +31,6 @@ class SimulationConfig:
     w: int
     replications: int
     seed: int
-    permutations: int = 0
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -56,9 +56,8 @@ def replicate_error_counts(
 
 def critical_from_counts(errors: np.ndarray, n: int, w: int, alpha) -> int | None:
     """Largest W with empirical frequency of {errors <= W} strictly below alpha."""
-    hist = np.bincount(np.asarray(errors, dtype=np.int64), minlength=w * (n - w) + 1)
-    cumulative = np.cumsum(hist[: w * (n - w) + 1]).tolist()
-    return critical_value(alpha, len(errors), cumulative)
+    hist = histogram_from_errors(errors, n, w)
+    return critical_value(alpha, len(errors), np.cumsum(hist.counts).tolist())
 
 
 def empirical_critical_value(config: SimulationConfig, alpha) -> int | None:

@@ -5,11 +5,11 @@ between words at Hamming distance 2.  An orientation assigns a direction
 to every edge; the outdegree of a vertex under an orientation is the
 number of arcs leaving it.  Vertices are handled by their colex rank.
 
-Feasibility of "orient every edge so no vertex exceeds outdegree W" is
-decided by one path-reversal engine, ``OrientedSet``, which also drives
-the exact search in ``codes``; both of its verdicts come with a checked
-certificate.  The constructive counterpart for max degree <= 2W is the
-Eulerian orientation (with virtual edges pairing odd-degree vertices).
+Orientations under per-vertex outdegree caps come from one path-reversal
+engine, ``OrientedSet``, which also drives the exact search in ``codes``;
+both of its verdicts come with a checked certificate.  With cap W at every
+vertex it decides W-lightness; with cap ceil(degree/2) it builds the
+Eulerian orientation that makes every code of max degree <= 2W W-light.
 """
 
 from __future__ import annotations
@@ -134,10 +134,11 @@ class Orientation:
     _outdeg: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if set(self.direction) != set(self.domain.edges):
+        edges, direction = self.domain.edges, self.direction
+        if len(direction) != len(edges) or not all(e in direction for e in edges):
             raise ValueError("orientation does not cover exactly the domain edges")
         outdeg = {v: 0 for v in self.domain.vertices}
-        for (a, b), (src, dst) in self.direction.items():
+        for (a, b), (src, dst) in direction.items():
             if {src, dst} != {a, b}:
                 raise ValueError(f"arc ({src},{dst}) is not a direction of edge ({a},{b})")
             outdeg[src] += 1
@@ -158,83 +159,29 @@ def outdegree(orientation: Orientation, v) -> int:
     return orientation._outdeg[r]
 
 
-def eulerian_orientation(g: InducedSubgraph) -> Orientation:
-    """Orient ``g`` so every vertex gets outdegree at most ceil(degree/2).
-
-    Odd-degree vertices are paired in rank order with virtual edges; each
-    component of the augmented multigraph is traversed along an Euler
-    circuit and real edges take the traversal direction.
-    """
-    verts = sorted(g.vertices)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    n_real = len(g.edges)
-    for eid, (a, b) in enumerate(g.edges):
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    odd = [v for v in verts if len(adj[v]) % 2 == 1]
-    for k in range(0, len(odd), 2):
-        eid = n_real + k // 2
-        a, b = odd[k], odd[k + 1]
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-
-    total_edges = n_real + len(odd) // 2
-    used = [False] * total_edges
-    ptr = {v: 0 for v in verts}
-    direction: dict[tuple[int, int], tuple[int, int]] = {}
-
-    for start in verts:
-        if ptr[start] >= len(adj[start]):
-            continue
-        # Iterative Hierholzer; stack entries are (vertex, edge used to arrive).
-        stack: list[tuple[int, int]] = [(start, -1)]
-        path: list[tuple[int, int]] = []
-        while stack:
-            v, _ = stack[-1]
-            moved = False
-            while ptr[v] < len(adj[v]):
-                u, eid = adj[v][ptr[v]]
-                ptr[v] += 1
-                if not used[eid]:
-                    used[eid] = True
-                    stack.append((u, eid))
-                    moved = True
-                    break
-            if not moved:
-                path.append(stack.pop())
-        circuit = path[::-1]
-        for k in range(1, len(circuit)):
-            src = circuit[k - 1][0]
-            dst, eid = circuit[k]
-            if eid < n_real:
-                a, b = g.edges[eid]
-                direction[(a, b)] = (src, dst)
-
-    return Orientation(g, direction)
-
-
 class OrientedSet:
-    """A growing vertex set of a graph, kept oriented with outdegrees <= W.
+    """A growing vertex set of a graph, kept oriented with outdegrees <= cap[v].
 
     Vertices are local ids 0..k-1: ``adj[v]`` lists the neighbors of v
     and ``out[v]`` is the set of arc heads leaving v.  A pushed vertex
     orients each edge to the set toward an endpoint with slack (outdegree
-    < W); when neither has slack the edge leaves the new vertex, which
+    < cap); when neither has slack the edge leaves the new vertex, which
     then sheds the excess along a reversed directed path to a vertex with
     slack (Hakimi 1965; Frank & Gyarfas 1976).  If no such path exists,
     every arc leaving the set R of vertices reachable from the new one
-    stays in R and R carries W*|R| + 1 of them, so no orientation exists.
-    A refused push keeps R, and ``check_refusal`` verifies from the
-    adjacency alone that R spans more than W*|R| edges.  Every arc change
-    goes on a trail, and pop() undoes the last push exactly.
+    stays in R and R carries one more of them than its caps sum to, so no
+    orientation exists.  A refused push keeps R, and ``check_refusal``
+    verifies from the adjacency alone that R spans more edges than the sum
+    of its caps.  Every arc change goes on a trail, and pop() undoes the
+    last push exactly.
     """
 
-    def __init__(self, num_vertices: int, edges, W: int):
+    def __init__(self, num_vertices: int, edges, cap):
         self.adj: list[list[int]] = [[] for _ in range(num_vertices)]
         for a, b in edges:
             self.adj[a].append(b)
             self.adj[b].append(a)
-        self.W = W
+        self.cap = list(cap)
         self.member = [False] * num_vertices
         self.out: list[set[int]] = [set() for _ in range(num_vertices)]
         self.trail: list[tuple[int, int, bool]] = []  # (tail, head, arc is new)
@@ -243,7 +190,7 @@ class OrientedSet:
 
     def _relieve(self, s: int):
         """Reverse a path from s to a vertex with slack, or return what s reaches."""
-        out, W = self.out, self.W
+        out, cap = self.out, self.cap
         parent = {s: s}
         queue = [s]
         for x in queue:
@@ -251,7 +198,7 @@ class OrientedSet:
                 if y in parent:
                     continue
                 parent[y] = x
-                if len(out[y]) < W:
+                if len(out[y]) < cap[y]:
                     # Returning right away keeps out[x] unchanged during its iteration.
                     while y != s:
                         x = parent[y]
@@ -264,27 +211,29 @@ class OrientedSet:
         return parent.keys()
 
     def check_refusal(self) -> None:
-        """Certify the last refused push: what it reached spans > W edges per vertex."""
+        """Certify the last refused push: what it reached spans more edges than its caps."""
         reached = self.refused
         twice = sum(u in reached for x in reached for u in self.adj[x])
-        if twice <= 2 * self.W * len(reached):
+        caps = sum(self.cap[x] for x in reached)
+        if twice <= 2 * caps:
             raise AssertionError(
                 f"push refused, but the {len(reached)} vertices it reached span only "
-                f"{twice // 2} edges, at most W = {self.W} per vertex"
+                f"{twice // 2} edges, at most their caps' sum {caps}"
             )
 
     def push(self, v: int) -> bool:
         """Add v to the set; on infeasibility leave the state as it was."""
-        out, member, trail, W = self.out, self.member, self.trail, self.W
+        out, member, trail, cap = self.out, self.member, self.trail, self.cap
         self.pushed.append((v, len(trail)))
         member[v] = True
+        cap_v = cap[v]
         for u in self.adj[v]:
             if not member[u]:
                 continue
-            a, b = (u, v) if len(out[v]) >= W > len(out[u]) else (v, u)
+            a, b = (u, v) if len(out[v]) >= cap_v and len(out[u]) < cap[u] else (v, u)
             out[a].add(b)
             trail.append((a, b, True))
-            if len(out[v]) > W:
+            if len(out[v]) > cap_v:
                 reached = self._relieve(v)
                 if reached is not None:
                     self.refused = reached
@@ -311,28 +260,22 @@ class OrientedSet:
         return False
 
 
-def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation | None]:
-    """Decide whether ``g`` has an orientation with every outdegree <= W.
+def _orient_within(g: InducedSubgraph, cap: dict[int, int]) -> Orientation | None:
+    """An orientation of ``g`` with outdegree <= cap[v] at every vertex v, or None.
 
     Every vertex is pushed into one ``OrientedSet``.  A refused push
-    certifies infeasibility by a dense vertex set; an accepted witness is
-    checked to orient each edge once with every outdegree <= W.
+    certifies infeasibility by a vertex set spanning more edges than its
+    caps; an accepted witness is checked to orient each edge once with
+    every outdegree within its cap.
     """
-    if W < 0:
-        raise ValueError("W must be nonnegative")
-    m = len(g.edges)
-    if m == 0:
-        return True, Orientation(g, {})
-    if m > W * len(g.vertices):
-        return False, None  # density obstruction, no search needed
     verts = sorted(g.vertices)
     vid = {v: i for i, v in enumerate(verts)}
     local = [(vid[a], vid[b]) for a, b in g.edges]
-    state = OrientedSet(len(verts), local, W)
+    state = OrientedSet(len(verts), local, [cap[v] for v in verts])
     for i in range(len(verts)):
         if not state.push(i):
             state.check_refusal()
-            return False, None
+            return None
     out = state.out
     direction = {}
     for e, (x, y) in zip(g.edges, local):
@@ -341,9 +284,40 @@ def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation 
             raise AssertionError(f"witness does not orient edge {e} exactly once")
         direction[e] = e if forward else (e[1], e[0])
     witness = Orientation(g, direction)
-    if witness.max_outdegree() > W:
-        raise AssertionError(f"witness has outdegree {witness.max_outdegree()} > W = {W}")
-    return True, witness
+    for v in verts:
+        if witness._outdeg[v] > cap[v]:
+            raise AssertionError(
+                f"witness has outdegree {witness._outdeg[v]} > W = {cap[v]} at vertex {v}"
+            )
+    return witness
+
+
+def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation | None]:
+    """Decide whether ``g`` has an orientation with every outdegree <= W.
+
+    Past the density check, ``_orient_within`` decides with cap W at every
+    vertex, and certifies either verdict.
+    """
+    if W < 0:
+        raise ValueError("W must be nonnegative")
+    if len(g.edges) > W * len(g.vertices):
+        return False, None  # density obstruction, no search needed
+    witness = _orient_within(g, dict.fromkeys(g.vertices, W))
+    return witness is not None, witness
+
+
+def eulerian_orientation(g: InducedSubgraph) -> Orientation:
+    """Orient ``g`` so every vertex gets outdegree at most ceil(degree/2).
+
+    Any vertex set R spans at most sum over R of degree/2 edges, so by
+    Hakimi's theorem these caps always admit an orientation (an Euler
+    circuit through virtual edges pairing the odd vertices gives one);
+    ``_orient_within`` builds and checks it.
+    """
+    witness = _orient_within(g, {v: (d + 1) // 2 for v, d in g.degrees().items()})
+    if witness is None:
+        raise AssertionError("the ceil(degree/2) caps were refused")
+    return witness
 
 
 def min_max_outdegree(g: InducedSubgraph) -> int:

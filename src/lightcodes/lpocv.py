@@ -62,20 +62,19 @@ def _labeling_blocks(n: int, w: int):
 
 def _all_error_counts(learner: Learner, data: Dataset, w: int) -> np.ndarray:
     """Error count of every labeling in S(n,w), in ``_labeling_blocks`` order."""
+    total = comb(data.n, w)
+    if total > EXACT_NULL_LIMIT:
+        raise ResourceLimitError(
+            f"C({data.n},{w}) = {total} labelings exceed the exact-null limit "
+            f"{EXACT_NULL_LIMIT}"
+        )
     blocks = _labeling_blocks(data.n, w)
     return np.concatenate([learner.error_counts(data, block) for block in blocks])
 
 
 def exact_null_distribution(learner: Learner, data: Dataset, w: int) -> EmpiricalNull:
     """Error-count histogram over every labeling in S(n,w) of the fixed sample."""
-    n = data.n
-    total = comb(n, w)
-    if total > EXACT_NULL_LIMIT:
-        raise ResourceLimitError(
-            f"C({n},{w}) = {total} labelings exceed the exact-null limit "
-            f"{EXACT_NULL_LIMIT}"
-        )
-    return histogram_from_errors(_all_error_counts(learner, data, w), n, w)
+    return histogram_from_errors(_all_error_counts(learner, data, w), data.n, w)
 
 
 def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
@@ -97,7 +96,8 @@ def null_error_counts(
     learner: Learner, data: Dataset, w: int, M: int, seed, exact: bool | None = None
 ) -> tuple[np.ndarray, bool]:
     """Error counts of the permutation null, and whether they are exact: every
-    labeling of S(n,w) when C(n,w) <= 10^5 (``exact`` overrides this choice),
+    labeling of S(n,w) when C(n,w) <= 10^5 (``exact`` overrides this choice,
+    within ``EXACT_NULL_LIMIT``),
     else the M labelings of ``sample_labelings(n, w, M, seed)``."""
     if M < 1:
         raise ValueError("M must be at least 1")

@@ -22,14 +22,16 @@ def johnson_edges(n: int, w: int, masks) -> list[tuple[int, int]]:
     return sorted(tuple(sorted((rank[a], rank[b]))) for a, b in distance_two_pairs(set(masks)))
 
 
-def nx_orientable(masks, W: int) -> bool:
+def nx_orientable(masks, cap) -> bool:
     """Whether the Johnson-graph subgraph induced by ``masks`` has an
-    orientation with every outdegree <= W, by networkx max-flow.
+    orientation with every outdegree <= cap, by networkx max-flow; ``cap``
+    is one int for every vertex or a {mask: cap} map.
 
     Vertices are the words' bitmasks; two words are adjacent when they
     differ in exactly two positions.  The network is source -> edge
-    (capacity 1) -> both endpoints (capacity 1) -> sink (capacity W).
+    (capacity 1) -> both endpoints (capacity 1) -> sink (the vertex's cap).
     """
+    caps = cap if isinstance(cap, dict) else dict.fromkeys(masks, cap)
     edges = distance_two_pairs(masks)
     if not edges:
         return True
@@ -39,7 +41,7 @@ def nx_orientable(masks, W: int) -> bool:
         net.add_edge(("edge", k), ("vertex", a), capacity=1)
         net.add_edge(("edge", k), ("vertex", b), capacity=1)
     for v in masks:
-        net.add_edge(("vertex", v), "sink", capacity=W)
+        net.add_edge(("vertex", v), "sink", capacity=caps[v])
     return nx.maximum_flow_value(net, "source", "sink") == len(edges)
 
 

@@ -240,7 +240,7 @@ def test_oriented_set_agrees_with_max_flow(data):
     n, w = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)]))
     W = data.draw(st.integers(0, 3))
     graph = JohnsonGraph(n, w)
-    state = OrientedSet(graph.num_vertices, graph.edges(), W)
+    state = OrientedSet(graph.num_vertices, graph.edges(), [W] * graph.num_vertices)
     chosen: list[int] = []
     # None pops the last vertex; an integer tries to push that vertex.
     ops = data.draw(st.lists(st.none() | st.integers(0, graph.num_vertices - 1), max_size=40))

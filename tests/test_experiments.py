@@ -121,6 +121,13 @@ def test_critical_from_counts_strictness():
     assert critical_from_counts(errors, 5, 2, "0.05") is None
 
 
+def test_critical_from_counts_rejects_counts_above_max_errors():
+    # 99 > w(n-w) = 4 errors is impossible; it must not be dropped from the
+    # cumulative sums while still counting in the total.
+    with pytest.raises(ValueError, match="exceeds w"):
+        critical_from_counts([0, 0, 99], 4, 2, 0.9)
+
+
 def test_merge_critical_cells():
     assert merge_critical_cells([3, 1, 2]) == 1
     assert merge_critical_cells([3, None]) is None

@@ -179,6 +179,51 @@ def test_bad_witness_fails_its_certificate(monkeypatch):
         orientation_feasible(full, 2)
 
 
+@given(st.data())
+def test_oriented_set_per_vertex_caps_agree_with_max_flow(data):
+    n, w = data.draw(st.sampled_from(SMALL_JOHNSON))
+    graph = JohnsonGraph(n, w)
+    cap = data.draw(st.lists(st.integers(0, 3), min_size=graph.num_vertices,
+                             max_size=graph.num_vertices))
+    state = OrientedSet(graph.num_vertices, graph.edges(), cap)
+    chosen: list[int] = []
+    order = data.draw(st.permutations(range(graph.num_vertices)))
+    for v in order[: data.draw(st.integers(1, graph.num_vertices))]:
+        masks = [graph.word(r).mask for r in chosen + [v]]
+        want = nx_orientable(masks, {graph.word(r).mask: cap[r] for r in chosen + [v]})
+        assert state.push(v) == want
+        if not want:
+            state.check_refusal()
+            continue
+        chosen.append(v)
+        arcs = [(x, y) for x in chosen for y in state.out[x]]
+        assert all(len(state.out[x]) <= cap[x] for x in chosen)
+        assert sorted(tuple(sorted(a)) for a in arcs) == list(build_induced(graph, chosen).edges)
+
+
+@given(st.data())
+def test_eulerian_orientation_within_half_degree(data):
+    n, w = data.draw(st.sampled_from([(6, 3), (7, 2), (8, 4)]))
+    g = JohnsonGraph(n, w)
+    verts = data.draw(st.sets(st.integers(0, g.num_vertices - 1), min_size=1))
+    sub = build_induced(g, verts)
+    arcs = eulerian_orientation(sub).arcs()
+    assert sorted(tuple(sorted(a)) for a in arcs) == list(sub.edges)
+    deg = sub.degrees()
+    for v in verts:
+        assert sum(src == v for src, _ in arcs) <= (deg[v] + 1) // 2
+
+
+def test_eulerian_refusal_raises(monkeypatch):
+    full = JohnsonGraph(4, 2).full_subgraph()
+    monkeypatch.setattr(OrientedSet, "_relieve", lambda self, s: {s})
+    with pytest.raises(AssertionError, match="push refused"):
+        eulerian_orientation(full)
+    monkeypatch.setattr(OrientedSet, "check_refusal", lambda self: None)
+    with pytest.raises(AssertionError, match="caps were refused"):
+        eulerian_orientation(full)
+
+
 def test_fact_low_degree_always_feasible():
     # Max degree <= 2W guarantees a W-light orientation of all vertices.
     rng = np.random.default_rng(2)

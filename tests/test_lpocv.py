@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from lightcodes import lpocv
 from lightcodes.datagen import Dataset, generate_data
 from lightcodes.johnson import ResourceLimitError, count_w_light, outdegree
 from lightcodes.learners import (
@@ -21,6 +22,7 @@ from lightcodes.lpocv import (
     lpo_kernel,
     lpocv_u,
     mc_null_pvalue,
+    null_error_counts,
     orientation_of_learner,
     sample_labelings,
 )
@@ -92,6 +94,20 @@ def test_exact_null_limit():
     data = Dataset(np.zeros((40, 1)))
     with pytest.raises(ResourceLimitError):
         exact_null_distribution(ConstantLearner(feature=0), data, 20)
+
+
+def test_forced_exact_null_limit_raises_before_enumerating(monkeypatch):
+    data = Dataset(np.zeros((40, 1)))
+
+    def enumerate_anyway(n, w):
+        raise AssertionError("enumerated C(40,20) labelings")
+
+    monkeypatch.setattr(lpocv, "_labeling_blocks", enumerate_anyway)
+    learner = ConstantLearner(feature=0)
+    with pytest.raises(ResourceLimitError):
+        null_error_counts(learner, data, 20, 10, 0, exact=True)
+    with pytest.raises(ResourceLimitError):
+        mc_null_pvalue(learner, data, 20, 0, 10, 0, exact=True)
 
 
 def test_order_direction_heavier_tails_than_wilcoxon():
