@@ -56,11 +56,13 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _random_labeling(rng: np.random.Generator, n: int, w: int) -> Word:
-    base = np.zeros(n, dtype=int)
-    base[:w] = 1
-    bits = rng.permutation(base)
-    return Word.from_support(n, np.flatnonzero(bits))
+def _random_labeling(rng: np.random.Generator, n: int, w: int):
+    """A uniform weight-w labeling as (Word, ones, zeros), positions ascending."""
+    if not 0 < w < n:
+        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    bits = rng.permutation(np.arange(n) < w)
+    ones = bits.nonzero()[0]
+    return Word.from_support(n, ones.tolist()), ones, (~bits).nonzero()[0]
 
 
 def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
@@ -77,12 +79,8 @@ def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
         return load_csv(scenario[4:], n, w, seed)
     if scenario not in SCENARIOS:
         raise InputFormatError(f"unknown scenario {scenario!r}")
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
     rng = np.random.default_rng(seed)
-    labeling = _random_labeling(rng, n, w)
-    ones = np.array(labeling.support(), dtype=int)
-    zeros = np.array(labeling.zeros(), dtype=int)
+    labeling, ones, zeros = _random_labeling(rng, n, w)
 
     if scenario in ("null-gauss-1d", "null-gauss-10d"):
         d = 1 if scenario.endswith("1d") else 10
@@ -166,5 +164,5 @@ def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
         if w is None:
             raise InputFormatError(f"{path}: no label column and no weight given")
         rng = np.random.default_rng(seed)
-        labeling = _random_labeling(rng, rows_n, w)
+        labeling = _random_labeling(rng, rows_n, w)[0]
     return Dataset(matrix), labeling

@@ -24,6 +24,7 @@ counts; tests hold the two paths equal.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from abc import ABC, abstractmethod
 
@@ -84,6 +85,18 @@ def pair_errors(learner: "Learner", data: Dataset, mat: np.ndarray, lows, highs)
         block = mat[start:start + step]
         y_lo, y_hi = block.take(lows, axis=1), block.take(highs, axis=1)
         yield start, (y_lo != y_hi) & (kernel(block) == y_hi)
+
+
+def _check_feature(feature) -> int:
+    if int(feature) < 0:
+        raise ValueError(f"feature index must be non-negative, got {feature}")
+    return int(feature)
+
+
+def _feature_column(data: Dataset, feature: int) -> np.ndarray:
+    if feature >= data.d:
+        raise ValueError(f"feature {feature} out of range for d={data.d} feature columns")
+    return data.features[:, feature]
 
 
 class Learner(ABC):
@@ -167,18 +180,15 @@ class ConstantLearner(BatchedLearner):
 
     def __init__(self, scores=None, feature: int = 0):
         self.scores = None if scores is None else np.asarray(scores, dtype=float)
-        self.feature = int(feature)
-        if self.scores is not None:
-            self.name = "constant(scores)"
-        else:
-            self.name = f"constant(feature={self.feature})"
+        self.feature = _check_feature(feature)
+        self.name = "constant(scores)" if scores is not None else f"constant(feature={self.feature})"
 
     def _score_vector(self, data: Dataset) -> np.ndarray:
         if self.scores is not None:
             if len(self.scores) != data.n:
                 raise ValueError("score vector length does not match the sample")
             return self.scores
-        return data.features[:, self.feature]
+        return _feature_column(data, self.feature)
 
     def pair_bit(self, data, labeling, low, high):
         s = self._score_vector(data)
@@ -225,11 +235,11 @@ class OrderDirectionLearner(BatchedLearner):
     """
 
     def __init__(self, feature: int = 0):
-        self.feature = int(feature)
+        self.feature = _check_feature(feature)
         self.name = f"order-direction(feature={self.feature})"
 
     def pair_bit(self, data, labeling, low, high):
-        f = data.features[:, self.feature]
+        f = _feature_column(data, self.feature)
         y = bit_matrix([labeling], data.n)[0]
         train = np.ones(data.n, dtype=bool)
         train[[low, high]] = False
@@ -239,7 +249,7 @@ class OrderDirectionLearner(BatchedLearner):
         return int(f[low] < f[high])
 
     def pair_kernel(self, data, lows, highs):
-        f = data.features[:, self.feature]
+        f = _feature_column(data, self.feature)
         # sign[r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
         # concordant / discordant pair.
         sign = (f[:, None] > f[None, :]).astype(np.int64) - (f[:, None] < f[None, :])
@@ -330,54 +340,46 @@ class RidgeLearner(BatchedLearner):
 
     Trained on the n-2 remaining rows for every held-out pair; the two
     held-out rows are then scored and compared with the strict tie rule.
-    No feature standardization is applied.
+    No feature standardization is applied.  No fit is ever redone: with the
+    full-sample hat matrix H = Z A^-1 Z^T, the held-out pair S = {a, b} has
+    s_a - s_b = u_S^T H[S, :] y over the training rows, u_S = (I - H_SS)^-1 (1, -1),
+    a 2x2 closed form whose determinant det(A_S) / det(A) is positive for
+    n >= 3 (leave-pair-out, Pahikkala et al. 2008).
     """
 
     def __init__(self, lam: float = 1.0):
-        if lam <= 0:
-            raise ValueError("ridge penalty must be positive")
         self.lam = float(lam)
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
         self.name = f"ridge(lambda={self.lam:g})"
 
-    def _design(self, data: Dataset):
+    def _pair_rows(self, data: Dataset, lows, highs) -> np.ndarray:
+        """Rows C, zero at each pair, with s_low - s_high = C[k] @ y for pair k."""
         if data.n < 3:
             raise ValueError(
                 f"ridge needs n >= 3: holding out a pair of n={data.n} rows "
                 "leaves no training rows"
             )
         Z = np.hstack([data.features, np.ones((data.n, 1))])
-        penalty = np.diag([self.lam] * data.d + [0.0])
-        A_full = Z.T @ Z + penalty
-        return Z, A_full
-
-    @staticmethod
-    def _pair_inverses(Z, A_full, lows, highs) -> np.ndarray:
-        outer = Z[:, :, None] * Z[:, None, :]
-        return np.linalg.inv(A_full[None, :, :] - outer[lows] - outer[highs])
+        A_full = Z.T @ Z + np.diag([self.lam] * data.d + [0.0])
+        H = Z @ np.linalg.solve(A_full, Z.T)
+        rest_a, rest_b, h_ab = 1.0 - H[lows, lows], 1.0 - H[highs, highs], H[lows, highs]
+        det = rest_a * rest_b - h_ab * h_ab
+        u_a, u_b = (rest_b - h_ab) / det, (h_ab - rest_a) / det
+        C = u_a[:, None] * H[lows] + u_b[:, None] * H[highs]
+        C[np.arange(len(lows)), lows] = 0.0
+        C[np.arange(len(lows)), highs] = 0.0
+        return C
 
     def pair_bit(self, data, labeling, low, high):
         y = bit_matrix([labeling], data.n)[0]
-        Z, A_full = self._design(data)
+        C = self._pair_rows(data, np.array([low]), np.array([high]))
         if y.sum() - y[low] - y[high] == data.n - 2:
             return 0  # all training targets 1: the fit is constant and the scores tie
-        # Targets are masked to the training rows before any float reduction.
-        masked = y[None, :].astype(float)
-        masked[0, [low, high]] = 0.0
-        inv = self._pair_inverses(Z, A_full, [low], [high])
-        beta = np.einsum("mij,mj->mi", inv, np.einsum("mn,nk->mk", masked, Z))
-        s_low = np.einsum("mi,mi->m", Z[[low]], beta)[0]
-        s_high = np.einsum("mi,mi->m", Z[[high]], beta)[0]
-        return int(s_low > s_high)
+        return int((y * C[0]).sum() > 0)
 
     def pair_kernel(self, data, lows, highs):
-        # Closed-form leave-pair-out (Pahikkala et al. 2008): the score
-        # difference of the held-out pair is linear in the training targets,
-        # s_low - s_high = sum_r y_r C[k, r], with C zero at the pair itself.
-        Z, A_full = self._design(data)
-        inv = self._pair_inverses(Z, A_full, lows, highs)
-        C = np.einsum("kij,kj->ki", inv, Z[lows] - Z[highs]) @ Z.T
-        C[np.arange(len(lows)), lows] = 0.0
-        C[np.arange(len(lows)), highs] = 0.0
+        C = self._pair_rows(data, lows, highs)
 
         def kernel(block):
             # An elementwise product summed along the contiguous last axis: the
@@ -435,10 +437,8 @@ class KnnLearner(BatchedLearner):
 
 
 LEARNER_FACTORIES = {
-    "constant": lambda params: ConstantLearner(feature=int(params.get("feature", 0))),
-    "order-direction": lambda params: OrderDirectionLearner(
-        feature=int(params.get("feature", 0))
-    ),
+    "constant": lambda params: ConstantLearner(feature=params.get("feature", 0)),
+    "order-direction": lambda params: OrderDirectionLearner(feature=params.get("feature", 0)),
     "parity": lambda params: ParityLearner(),
     "random-orientation": lambda params: RandomOrientationLearner(
         seed=int(params.get("seed", 0))

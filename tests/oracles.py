@@ -60,3 +60,20 @@ def knn_neighbor_table(X, k: int) -> np.ndarray:
             if j != i:
                 table[i, j] = [r for r in row[: k + 1] if r != j][:k]
     return table
+
+
+def ridge_retrained_difference(X, y, lam: float, a: int, b: int) -> float:
+    """s_a - s_b of ridge refitted on every row but a and b, by least squares.
+
+    The intercept column is left unpenalized: the penalty enters as sqrt(lam)
+    rows over the feature coefficients only, with target 0.
+    """
+    n, d = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    train = np.ones(n, dtype=bool)
+    train[[a, b]] = False
+    penalty = np.hstack([np.sqrt(lam) * np.eye(d), np.zeros((d, 1))])
+    design = np.vstack([Z[train], penalty])
+    target = np.concatenate([np.asarray(y, dtype=float)[train], np.zeros(d)])
+    beta = np.linalg.lstsq(design, target, rcond=None)[0]
+    return float((Z[a] - Z[b]) @ beta)

@@ -191,6 +191,24 @@ def test_simulate_unknown_learner_or_scenario(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_non_finite_ridge_penalty(value, capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner",
+                         f"ridge;lambda={value}", "--n", "6", "--w", "3")
+    assert code == 1 and out == "" and "usage error" in err and "finite" in err, err
+
+
+@pytest.mark.parametrize(
+    "learner, message",
+    [("constant;feature=20", "feature 20 out of range for d=10"),
+     ("order-direction;feature=-1", "non-negative")],
+)
+def test_simulate_rejects_bad_feature_index(learner, message, capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "type2", "--learner", learner,
+                         "--scenario", "nonlinear-3mode", "--sizes", "12", "--reps", "3")
+    assert code == 1 and out == "" and "usage error" in err and message in err, err
+
+
 def test_simulate_ridge_without_training_rows(capsys):
     code, _, err = run(capsys, "simulate", "--mode", "null", "--learner",
                        "ridge;lambda=1", "--n", "2", "--w", "1")

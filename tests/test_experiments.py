@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lightcodes.datagen import InputFormatError, generate_data, load_csv
+from lightcodes.datagen import SCENARIOS, InputFormatError, generate_data, load_csv
 from lightcodes.experiments import (
     SimulationConfig,
     critical_from_counts,
@@ -43,6 +44,36 @@ def test_generate_data_scenarios():
         assert lab.w == 6
     with pytest.raises(InputFormatError):
         generate_data("nope", 10, 5, 0)
+
+
+# sha256 over the features and labeling masks of DIGEST_CASES, per scenario;
+# recorded before the labeling code was streamlined, so the streams are pinned.
+DIGEST_CASES = [(20, 10, 0), (20, 10, 1), (13, 4, (7, 3)), (40, 31, 2024)]
+SCENARIO_DIGESTS = {
+    "null-gauss-1d": "966283f55af0a21790ad7ea8a89e9e7753b4560c5aeced03c9cb31553ae276ed",
+    "null-gauss-10d": "8193a97ed3cc927a432b260703d6531b575ccb8e4f68db3c5df84d05f5b382aa",
+    "null-mix-1d": "c847e46a9426bf693f15a339bfcd71cac8acf860e06cd321066c6f953ecac183",
+    "null-mix-10d": "8b86ef05ec22673e775bd33f4692d7c33eb216d84c3a023fb0016e08b3e284b6",
+    "linear-1sig": "07f06f54098a0db7569e4de0d2c46c4849bec9625a306a48a86eeb03db3e0438",
+    "linear-4sig": "8c19f749e799449f9468aff3975a56371f94ba26751057a6e5247adf0f6ea669",
+    "nonlinear-3mode": "79c58af408a596991e414fca73951da422f40c7da643fe6ef7dd5b2522b72836",
+    "parity": "ff15e9d8df34bd8c15779c70cb0bbb93ff7265632ea12af1d09fbf5858a863f3",
+}
+
+
+def test_generate_data_streams_are_pinned(tmp_path):
+    assert set(SCENARIO_DIGESTS) == set(SCENARIOS)
+    for scenario, want in SCENARIO_DIGESTS.items():
+        digest = hashlib.sha256()
+        for n, w, seed in DIGEST_CASES:
+            data, lab = generate_data(scenario, n, w, seed)
+            digest.update(data.features.tobytes())
+            digest.update(lab.mask.to_bytes(8, "little"))
+        assert digest.hexdigest() == want, scenario
+    # A label-free CSV draws its labeling from the same stream.
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n" + "".join(f"{i}.5,{i * i}\n" for i in range(9)))
+    assert [load_csv(path, None, 4, s)[1].mask for s in (0, 1, (7, 3))] == [404, 278, 178]
 
 
 def test_linear_signal_means():
@@ -93,6 +124,9 @@ def test_load_csv_without_label(tmp_path):
     data, lab = load_csv(path, w=2, seed=4)
     assert data.features.shape == (4, 1)
     assert lab.w == 2
+    for w in (-2, 0, 4, 6):
+        with pytest.raises(ValueError, match=f"need 0 < w < n, got n=4, w={w}"):
+            load_csv(path, w=w, seed=4)
 
 
 def test_load_csv_errors(tmp_path):

@@ -20,7 +20,7 @@ from lightcodes.learners import (
 )
 from lightcodes.lpocv import exact_null_distribution
 from lightcodes.words import Word, iter_words
-from oracles import knn_neighbor_table
+from oracles import knn_neighbor_table, ridge_retrained_difference
 
 
 def gaussian_data(n, d, seed):
@@ -128,6 +128,57 @@ def test_ridge_separated_data():
     data = Dataset(x[:, None])
     lab = Word.from_support(10, range(5, 10))
     assert RidgeLearner(1.0).error_counts(data, [lab])[0] == 0
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_ridge_rejects_non_positive_or_non_finite_penalty(lam):
+    with pytest.raises(ValueError, match="positive and finite"):
+        RidgeLearner(lam)
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_learner(f"ridge;lambda={lam}")
+
+
+@pytest.mark.parametrize("cls", [ConstantLearner, OrderDirectionLearner])
+def test_feature_index_is_checked(cls):
+    with pytest.raises(ValueError, match="non-negative"):
+        cls(feature=-1)
+    data = gaussian_data(6, 3, 4)
+    lab = Word.from_support(6, (0, 2, 5))
+    learner = cls(feature=3)
+    with pytest.raises(ValueError, match="feature 3 out of range for d=3"):
+        learner.error_counts(data, [lab])
+    with pytest.raises(ValueError, match="feature 3 out of range for d=3"):
+        learner.predict_first(data, lab, 0, 1)
+    assert cls(feature=2).error_counts(data, [lab]).shape == (1,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    d=st.integers(1, 10),
+    lam=st.sampled_from([0.1, 1.0, 10.0]),
+    dups=st.integers(0, 23),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ridge_pair_rows_match_retrained_oracle(n, d, lam, dups, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    dups = min(dups, n - 1)
+    X[rng.integers(0, n, dups)] = X[rng.integers(0, n, dups)]  # duplicate rows
+    w = int(rng.integers(1, n))
+    y = rng.permutation(np.arange(n) < w).astype(np.uint8)
+    data, learner = Dataset(X), RidgeLearner(lam)
+    lows, highs = learners._differing_pairs(y[None])
+    diff = learner._pair_rows(data, lows, highs) @ y
+    want = np.array([ridge_retrained_difference(X, y, lam, a, b) for a, b in zip(lows, highs)])
+    assert np.allclose(diff, want, rtol=0, atol=1e-9), np.abs(diff - want).max()
+    # The 1-labeled member is the high one exactly when the canonical bit is 0.
+    clear = np.abs(want) > 1e-9
+    oracle_errors = (want > 0) == (y[highs] == 1)
+    _, errors = next(learners.pair_errors(learner, data, y[None], lows, highs))
+    assert np.array_equal(errors[0][clear], oracle_errors[clear])
+    count = learner.error_counts(data, [y])[0]
+    assert oracle_errors[clear].sum() <= count <= oracle_errors[clear].sum() + (~clear).sum()
 
 
 def test_ridge_training_order_invariance():
