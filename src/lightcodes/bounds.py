@@ -106,11 +106,6 @@ def lightcode_critical(alpha, n: int, w: int, bound_kind: str) -> int | None:
             else:
                 bound = boundary_exact(n, w, W)
                 if bound is None:
-                    if total > EXACT_SEARCH_LIMIT:
-                        raise ValueError(
-                            f"no exact value available for (n={n}, w={w}): "
-                            f"C(n,w) = {total} exceeds the search limit"
-                        )
                     bound = exact_L(n, w, W)
             yield bound
 

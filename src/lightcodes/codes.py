@@ -16,6 +16,7 @@ from functools import cache
 from math import comb
 
 from .johnson import (
+    MATERIALIZE_LIMIT,
     InducedSubgraph,
     JohnsonGraph,
     Orientation,
@@ -32,6 +33,11 @@ from .words import Word, enumerate_words, rank
 EXACT_SEARCH_LIMIT = 24
 
 
+def _check_lightness(W: int) -> None:
+    if W < 0:
+        raise ValueError("lightness parameter W must be nonnegative")
+
+
 @dataclass(frozen=True, slots=True)
 class LightCode:
     n: int
@@ -41,8 +47,7 @@ class LightCode:
     witness: Orientation | None = None
 
     def __post_init__(self) -> None:
-        if self.W < 0:
-            raise ValueError("lightness parameter W must be nonnegative")
+        _check_lightness(self.W)
         seen = set()
         for word in self.words:
             if (word.n, word.w) != (self.n, self.w):
@@ -88,6 +93,7 @@ def construct_tournament(n: int, W: int) -> LightCode:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_lightness(W)
     size = min(2 * W + 1, n)
     words = [Word.from_support(n, (i,)) for i in range(size)]
     return _with_euler_witness(n, 1, W, words)
@@ -110,6 +116,7 @@ def construct_orbit(n: int, W: int) -> LightCode:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    _check_lightness(W)
     total = comb(n, 2)
     target = min((W + 1) * n // 2, total)
     if target == total:
@@ -144,6 +151,11 @@ def tau_classes(n: int, w: int, W: int) -> list[list[Word]]:
     modulus = n - 2 * W
     if modulus < 1:
         raise ValueError(f"modulus n - 2W = {modulus} must be positive")
+    if comb(n, w) > MATERIALIZE_LIMIT:
+        raise ResourceLimitError(
+            f"C({n},{w}) = {comb(n, w)} words exceed the materialization limit "
+            f"{MATERIALIZE_LIMIT}"
+        )
     classes: list[list[Word]] = [[] for _ in range(modulus)]
     for word in enumerate_words(n, w):
         classes[tau(word, W)].append(word)
@@ -158,6 +170,7 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
     hypercubes of dimension <= 2W and the Eulerian orientation caps every
     outdegree at W.  Ties between classes go to the smallest residue.
     """
+    _check_lightness(W)
     if n < 4 * W:
         raise ValueError(f"Graham-Sloane construction needs n >= 4W, got n={n}, W={W}")
     classes = tau_classes(n, w, W)

@@ -3,7 +3,9 @@
 The Johnson graph J(n,w) has one vertex per word of S(n,w) and an edge
 between words at Hamming distance 2.  An orientation assigns a direction
 to every edge; the outdegree of a vertex under an orientation is the
-number of arcs leaving it.  Vertices are handled by their colex rank.
+number of arcs leaving it.  Vertices are handled by their colex rank; an
+``Orientation`` holds one flag per edge (a, b), a < b, of its domain's
+sorted edge list, true for the arc a -> b and false for b -> a.
 
 Orientations under per-vertex outdegree caps come from one path-reversal
 engine, ``OrientedSet``, which also drives the exact search in ``codes``;
@@ -127,25 +129,27 @@ def build_induced(graph: JohnsonGraph, vertices) -> InducedSubgraph:
 
 @dataclass(frozen=True)
 class Orientation:
-    """A direction for every edge of an induced subgraph."""
+    """A direction for every edge of an induced subgraph.
+
+    ``forward[k]`` is true iff edge k = (a, b), a < b, of ``domain.edges`` points a -> b.
+    """
 
     domain: InducedSubgraph
-    direction: dict[tuple[int, int], tuple[int, int]]
+    forward: tuple[bool, ...]
     _outdeg: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        edges, direction = self.domain.edges, self.direction
-        if len(direction) != len(edges) or not all(e in direction for e in edges):
-            raise ValueError("orientation does not cover exactly the domain edges")
-        outdeg = {v: 0 for v in self.domain.vertices}
-        for (a, b), (src, dst) in direction.items():
-            if {src, dst} != {a, b}:
-                raise ValueError(f"arc ({src},{dst}) is not a direction of edge ({a},{b})")
-            outdeg[src] += 1
+        edges, forward = self.domain.edges, tuple(map(bool, self.forward))
+        if len(forward) != len(edges):
+            raise ValueError(f"{len(forward)} direction flags for {len(edges)} domain edges")
+        outdeg = dict.fromkeys(self.domain.vertices, 0)
+        for (a, b), fwd in zip(edges, forward):
+            outdeg[a if fwd else b] += 1
+        object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "_outdeg", outdeg)
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [self.direction[e] for e in sorted(self.direction)]
+        return [(a, b) if fwd else (b, a) for (a, b), fwd in zip(self.domain.edges, self.forward)]
 
     def max_outdegree(self) -> int:
         return max(self._outdeg.values(), default=0)
@@ -277,13 +281,11 @@ def _orient_within(g: InducedSubgraph, cap: dict[int, int]) -> Orientation | Non
             state.check_refusal()
             return None
     out = state.out
-    direction = {}
-    for e, (x, y) in zip(g.edges, local):
-        forward = y in out[x]
-        if forward == (x in out[y]):
+    forward = [y in out[x] for x, y in local]
+    for e, (x, y), fwd in zip(g.edges, local, forward):
+        if fwd == (x in out[y]):
             raise AssertionError(f"witness does not orient edge {e} exactly once")
-        direction[e] = e if forward else (e[1], e[0])
-    witness = Orientation(g, direction)
+    witness = Orientation(g, forward)
     for v in verts:
         if witness._outdeg[v] > cap[v]:
             raise AssertionError(
@@ -336,10 +338,7 @@ def random_orientation(graph: JohnsonGraph, seed) -> Orientation:
     g = graph.full_subgraph()
     rng = np.random.default_rng(seed)
     coins = rng.integers(0, 2, size=len(g.edges))
-    direction = {}
-    for (a, b), c in zip(g.edges, coins):
-        direction[(a, b)] = (a, b) if c == 0 else (b, a)
-    return Orientation(g, direction)
+    return Orientation(g, coins == 0)
 
 
 def count_w_light(orientation: Orientation, W: int) -> int:

@@ -14,11 +14,12 @@ its two labelings.
 Implementations must never read the labeling at the held-out positions;
 only the remaining rows' labels may influence the prediction.
 
-Each learner has two evaluation paths.  ``pair_bit`` with the base-class
-per-pair loop ``Learner.error_counts`` is the reference.  The built-in
-learners also give a batched ``pair_kernel`` (canonical bits for a block of
-labelings at once), which ``BatchedLearner.error_counts`` reduces to error
-counts; tests hold the two paths equal.
+Each learner has two evaluation paths, both over labelings as (n,) uint8
+0/1 rows.  ``pair_bit`` with the base-class per-pair loop
+``Learner.error_counts`` is the reference.  The built-in learners also give
+a batched ``pair_kernel`` (canonical bits for a block of rows at once), which
+``BatchedLearner.error_counts`` reduces to error counts; tests hold the two
+paths equal.
 """
 
 from __future__ import annotations
@@ -105,35 +106,33 @@ class Learner(ABC):
     name: str = "learner"
 
     @abstractmethod
-    def pair_bit(self, data: Dataset, labeling: Word, low: int, high: int) -> int:
+    def pair_bit(self, data: Dataset, y: np.ndarray, low: int, high: int) -> int:
         """1 iff row ``low`` is predicted as the 1-labeled member of the pair.
 
-        ``low < high`` are sample positions; training uses every other row
-        with its labeling bit.
+        ``y`` is the labeling as an (n,) uint8 0/1 row and ``low < high``
+        are sample positions; training uses every other row with its label.
         """
 
-    def predict_first(self, data: Dataset, labeling: Word, i: int, j: int) -> int:
+    def predict_first(self, data: Dataset, labeling: Word | np.ndarray, i: int, j: int) -> int:
         """1 iff row ``i`` is predicted as the 1-labeled member of pair (i, j)."""
         if i == j or not (0 <= i < data.n and 0 <= j < data.n):
             raise ValueError(f"invalid pair ({i}, {j}) for n={data.n}")
-        if labeling.n != data.n:
-            raise ValueError("labeling length does not match the sample")
+        y = bit_matrix([labeling], data.n)[0]
         if i < j:
-            return self.pair_bit(data, labeling, i, j)
-        return 1 - self.pair_bit(data, labeling, j, i)
+            return self.pair_bit(data, y, i, j)
+        return 1 - self.pair_bit(data, y, j, i)
 
     def error_counts(self, data: Dataset, labelings) -> np.ndarray:
         """LPOCV error count per labeling; generic per-pair loop."""
         mat = bit_matrix(labelings, data.n)
         out = np.zeros(len(mat), dtype=np.int64)
         for idx, y in enumerate(mat):
-            if not 0 < y.sum() < data.n:
-                continue  # a constant row has no differently-labeled pair
-            word = Word.from_support(data.n, np.flatnonzero(y))
+            zeros = np.flatnonzero(y == 0).tolist()
             errs = 0
-            for i in word.support():
-                for j in word.zeros():
-                    errs += 1 - self.predict_first(data, word, i, j)
+            for i in np.flatnonzero(y).tolist():
+                for j in zeros:
+                    # Complement rule: i is predicted first iff the canonical bit is (i < j).
+                    errs += self.pair_bit(data, y, min(i, j), max(i, j)) != (i < j)
             out[idx] = errs
         return out
 
@@ -150,11 +149,8 @@ class Learner(ABC):
         def kernel(block):
             bits = np.zeros((len(block), len(lows)), dtype=bool)
             for r, y in enumerate(block):
-                ks = np.flatnonzero(y[lows] != y[highs])
-                if len(ks):
-                    word = Word.from_support(data.n, np.flatnonzero(y))
-                    for k in ks:
-                        bits[r, k] = self.pair_bit(data, word, int(lows[k]), int(highs[k]))
+                for k in np.flatnonzero(y[lows] != y[highs]).tolist():
+                    bits[r, k] = self.pair_bit(data, y, int(lows[k]), int(highs[k]))
             return bits
 
         return kernel
@@ -190,7 +186,7 @@ class ConstantLearner(BatchedLearner):
             return self.scores
         return _feature_column(data, self.feature)
 
-    def pair_bit(self, data, labeling, low, high):
+    def pair_bit(self, data, y, low, high):
         s = self._score_vector(data)
         return int(s[low] > s[high])
 
@@ -215,7 +211,7 @@ class ParityLearner(BatchedLearner):
             raise ValueError("parity learner needs two feature columns")
         return int(round(float(data.features[:, 1].sum()))) & 1
 
-    def pair_bit(self, data, labeling, low, high):
+    def pair_bit(self, data, y, low, high):
         leak = data.features[:, 0]
         base = int(leak[low] > leak[high])
         return base ^ self._flip(data)
@@ -238,9 +234,8 @@ class OrderDirectionLearner(BatchedLearner):
         self.feature = _check_feature(feature)
         self.name = f"order-direction(feature={self.feature})"
 
-    def pair_bit(self, data, labeling, low, high):
+    def pair_bit(self, data, y, low, high):
         f = _feature_column(data, self.feature)
-        y = bit_matrix([labeling], data.n)[0]
         train = np.ones(data.n, dtype=bool)
         train[[low, high]] = False
         ones, zeros = f[train & (y == 1)], f[train & (y == 0)]
@@ -287,10 +282,10 @@ class RandomOrientationLearner(BatchedLearner):
     def _row_bytes(row: np.ndarray) -> bytes:
         return struct.pack(f"<{len(row)}d", *row)
 
-    def pair_bit(self, data, labeling, low, high):
-        rows = data.features
+    def pair_bit(self, data, y, low, high):
+        rows, labels = data.features, y.tolist()
         train_entries = sorted(
-            self._row_bytes(rows[r]) + bytes([labeling.bit(r)])
+            self._row_bytes(rows[r]) + bytes([labels[r]])
             for r in range(data.n)
             if r != low and r != high
         )
@@ -371,8 +366,7 @@ class RidgeLearner(BatchedLearner):
         C[np.arange(len(lows)), highs] = 0.0
         return C
 
-    def pair_bit(self, data, labeling, low, high):
-        y = bit_matrix([labeling], data.n)[0]
+    def pair_bit(self, data, y, low, high):
         C = self._pair_rows(data, np.array([low]), np.array([high]))
         if y.sum() - y[low] - y[high] == data.n - 2:
             return 0  # all training targets 1: the fit is constant and the scores tie
@@ -420,9 +414,8 @@ class KnnLearner(BatchedLearner):
         table[np.arange(n)[:, None], near] = near[:, skip]
         return table
 
-    def pair_bit(self, data, labeling, low, high):
+    def pair_bit(self, data, y, low, high):
         table = self._neighbor_table(data)
-        y = bit_matrix([labeling], data.n)[0].astype(np.int64)
         s_low = int(y[table[low, high]].sum())
         s_high = int(y[table[high, low]].sum())
         return int(s_low > s_high)

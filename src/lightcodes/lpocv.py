@@ -158,5 +158,4 @@ def orientation_of_learner(
             f"edge {g.edges[clash[0]]} is an error in both or neither of its "
             "labelings; the learner violates the label-switch constraint"
         )
-    direction = {e: e if err else e[::-1] for e, err in zip(g.edges, first_errs.tolist())}
-    return Orientation(g, direction), histogram_from_errors(errors.sum(axis=1), n, w)
+    return Orientation(g, first_errs), histogram_from_errors(errors.sum(axis=1), n, w)

@@ -12,7 +12,8 @@ from lightcodes.bounds import (
     johnson_upper,
     lightcode_critical,
 )
-from lightcodes.codes import exact_L
+from lightcodes.codes import EXACT_SEARCH_LIMIT, exact_L
+from lightcodes.johnson import ResourceLimitError
 from lightcodes.wilcoxon import q_count, wmw_critical
 
 
@@ -89,6 +90,12 @@ def test_bound_record_validation():
 
 def test_lightcode_critical_exact_small():
     assert lightcode_critical(0.05, 4, 2, "exact") is None
+
+
+def test_lightcode_critical_exact_past_search_limit_is_a_resource_limit():
+    assert comb(8, 4) > EXACT_SEARCH_LIMIT
+    with pytest.raises(ResourceLimitError, match="search limit"):
+        lightcode_critical(0.05, 8, 4, "exact")
 
 
 def test_lightcode_critical_lower_matches_pigeonhole():

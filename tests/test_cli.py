@@ -1,6 +1,10 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from lightcodes.cli import main
+from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
 from lightcodes.words import enumerate_words, read_word_file, write_word_file
 
@@ -117,6 +121,26 @@ def test_construct_tournament_and_gs(tmp_path, capsys):
     code, _, _ = run(capsys, "construct", "--method", "graham-sloane",
                      "--n", "8", "--w", "3", "--W", "1", "--out", str(out))
     assert code == 0 and len(read_word_file(out)) >= 10
+
+
+@pytest.mark.parametrize("method, w", [("tournament", 1), ("orbit", 2), ("graham-sloane", 3)])
+def test_construct_rejects_negative_W(method, w, tmp_path, capsys):
+    code, out, err = run(capsys, "construct", "--method", method, "--n", "9", "--w", str(w),
+                         "--W", "-1", "--out", str(tmp_path / "c.txt"))
+    assert code == 1 and out == "" and "nonnegative" in err, err
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_construct_graham_sloane_too_large_exits_3(monkeypatch, tmp_path, capsys):
+    from lightcodes import codes
+
+    def never(n, w):
+        raise AssertionError(f"enumerated S({n},{w})")
+
+    monkeypatch.setattr(codes, "enumerate_words", never)  # fail, not hang, if not refused
+    code, out, err = run(capsys, "construct", "--method", "graham-sloane", "--n", "40",
+                         "--w", "20", "--W", "2", "--out", str(tmp_path / "c.txt"))
+    assert code == 3 and out == "" and "C(40,20) = 137846528820" in err, err
 
 
 def test_verify_reports_infeasible(tmp_path, capsys):
@@ -294,3 +318,30 @@ def test_rerun_determinism(argv, capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_empirical_config_example_runs(tmp_path, capsys):
+    (example,) = re.findall(r"Empirical config files hold.*?e\.g\. `([^`]+)`", README, re.S)
+    cfg = tmp_path / "setups.txt"
+    cfg.write_text(example + "\n")
+    code, out, err = run(capsys, "critical", "--test", "empirical", "--configs", str(cfg),
+                         "--max-size", "2", "--reps", "5")
+    assert code == 0 and out.startswith("w,1,2"), err
+
+
+def test_readme_shell_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
+    commands = [
+        line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("lightcodes ")
+    ]
+    assert len(commands) >= 10
+    for command in commands:
+        lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        assert not {";", "|", "&"} & set(tokens), command
+        build_parser().parse_args(tokens[1:])

@@ -142,6 +142,31 @@ def test_tau_zero_classes_have_distance_four():
                 assert hamming(a, b) >= 4
 
 
+def test_tau_classes_refuse_past_the_materialization_limit(monkeypatch):
+    def never(n, w):
+        raise AssertionError(f"enumerated S({n},{w})")
+
+    monkeypatch.setattr(codes, "enumerate_words", never)
+    for build in (lambda: tau_classes(40, 20, 2), lambda: construct_graham_sloane(40, 20, 2)):
+        with pytest.raises(ResourceLimitError, match=r"C\(40,20\) = 137846528820"):
+            build()
+    monkeypatch.undo()
+    monkeypatch.setattr(codes, "MATERIALIZE_LIMIT", comb(8, 3))
+    assert sum(map(len, tau_classes(8, 3, 1))) == comb(8, 3)
+    with pytest.raises(ResourceLimitError):
+        tau_classes(9, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "construct, args",
+    [(construct_tournament, (5,)), (construct_orbit, (9,)), (construct_graham_sloane, (9, 3))],
+)
+def test_constructions_reject_negative_W(construct, args, monkeypatch):
+    monkeypatch.setattr(codes, "build_induced", None)  # refused before any building
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        construct(*args, -1)
+
+
 def test_graham_sloane_examples():
     for n, w, W in [(5, 2, 0), (6, 3, 0), (8, 3, 1), (9, 4, 2)]:
         code = construct_graham_sloane(n, w, W)

@@ -10,6 +10,7 @@ from lightcodes import johnson
 from lightcodes.johnson import (
     InducedSubgraph,
     JohnsonGraph,
+    Orientation,
     OrientedSet,
     build_induced,
     count_w_light,
@@ -124,7 +125,7 @@ def test_orientation_feasible_examples():
     ok, witness = orientation_feasible(full, 2)
     assert ok and witness is not None
     assert witness.max_outdegree() <= 2
-    assert set(witness.direction) == set(full.edges)
+    assert len(witness.forward) == len(full.edges)
     ok1, w1 = orientation_feasible(full, 1)
     assert not ok1 and w1 is None
     empty = build_induced(JohnsonGraph(4, 2), [0])
@@ -261,10 +262,24 @@ def test_min_max_outdegree_matches_density():
         assert got == best
 
 
+def test_orientation_flags_one_direction_per_edge():
+    full = JohnsonGraph(4, 2).full_subgraph()
+    with pytest.raises(ValueError, match="11 direction flags for 12 domain edges"):
+        Orientation(full, [True] * 11)
+    # A true flag points edge (a, b), a < b, from a: rank 0 then leaves all
+    # of its 4 neighbours and rank 5 none.
+    up = Orientation(full, [True] * 12)
+    assert up.arcs() == list(full.edges)
+    assert (outdegree(up, 0), outdegree(up, 5)) == (4, 0)
+    down = Orientation(full, [False] * 12)
+    assert down.arcs() == [(b, a) for a, b in full.edges]
+    assert (outdegree(down, 0), outdegree(down, 5)) == (0, 4)
+
+
 def test_random_orientation_deterministic():
     a = random_orientation(JohnsonGraph(4, 2), seed=5)
     b = random_orientation(JohnsonGraph(4, 2), seed=5)
-    assert a.direction == b.direction
+    assert a.forward == b.forward
     c = random_orientation(JohnsonGraph(4, 2), seed=6)
     assert len(c.arcs()) == 12
 

@@ -208,7 +208,7 @@ def test_knn_all_neighbors_tie():
     for i in lab.support():
         for j in lab.zeros():
             low, high = (i, j) if i < j else (j, i)
-            assert learner.pair_bit(data, lab, low, high) == 0
+            assert learner.pair_bit(data, learners.bit_matrix([lab], n)[0], low, high) == 0
 
 
 def test_knn_separated_clusters():
@@ -258,8 +258,8 @@ def test_constant_rows_have_no_errors_on_both_paths(spec):
 
 
 def test_paths_agree_on_a_row_using_the_last_of_64_positions():
-    # The reference loop builds its Word from numpy positions; at position 63
-    # a numpy shift would overflow the int64 mask.
+    # Word.from_support takes numpy positions; at position 63 a numpy shift
+    # would overflow the int64 mask.
     n = 64
     data = gaussian_data(n, 1, 64)
     row = np.zeros(n, dtype=np.uint8)

@@ -236,8 +236,8 @@ def test_orientation_of_learner_arcs_match_per_pair_reference(spec):
 class PeekingLearner(Learner):
     """Reads the held-out label: breaks the label-switch constraint."""
 
-    def pair_bit(self, data, labeling, low, high):
-        return labeling.bit(low)
+    def pair_bit(self, data, y, low, high):
+        return int(y[low])
 
 
 def test_orientation_of_learner_checks_label_switch():
