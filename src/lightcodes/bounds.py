@@ -15,18 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .codes import EXACT_SEARCH_LIMIT, boundary_exact, exact_L, johnson_upper, tau_classes
+from .codes import (EXACT_SEARCH_LIMIT, GS_CLASS_ENUM_LIMIT, boundary_exact, exact_L,
+                    johnson_upper, tau_classes)
+from .johnson import _check_lightness
 from .wilcoxon import critical_value
+from .words import _check_weight
 
 BOUND_KINDS = ("lower", "upper", "exact")
 
 
 def gs_lower(n: int, w: int, W: int) -> int | None:
     """Pigeonhole lower bound ceil(C(n,w)/(n-2W)) when n >= 4W, else None."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_weight(n, w)
+    _check_lightness(W)
     if n < 4 * W:
         return None
     return -(comb(n, w) // -(n - 2 * W))
@@ -48,9 +49,6 @@ class BoundRecord:
             raise ValueError(f"exact {self.exact} outside [{self.lower}, {self.upper}]")
 
 
-GS_CLASS_ENUM_LIMIT = 10**5
-
-
 def assemble_table(
     n_range, w_range, W_range, exact_when_small: bool = False
 ) -> list[BoundRecord]:
@@ -61,8 +59,8 @@ def assemble_table(
     values come from the closed forms, or from the exhaustive search when
     requested and C(n,w) <= 24.
     """
-    if any(W < 0 for W in W_range):
-        raise ValueError("W must be nonnegative")
+    for W in W_range:
+        _check_lightness(W)
     records = []
     for n in n_range:
         for w in w_range:

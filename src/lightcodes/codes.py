@@ -21,21 +21,20 @@ from .johnson import (
     JohnsonGraph,
     Orientation,
     OrientedSet,
-    ResourceLimitError,
+    _check_lightness,
     build_induced,
     eulerian_orientation,
     orientation_feasible,
+    refuse_over,
 )
-from .words import Word, enumerate_words, rank
+from .words import Word, _check_weight, enumerate_words, rank
 
 # C(7,3) = 35, the next size up, takes about 25 s at W = 1 and W = 5 and
 # more than 120 s at each of W = 2, 3, 4 (2-core VM, Python 3.11).
 EXACT_SEARCH_LIMIT = 24
 
-
-def _check_lightness(W: int) -> None:
-    if W < 0:
-        raise ValueError("lightness parameter W must be nonnegative")
+# Largest C(n,w) whose tau classes are enumerated for constructions and bound tables.
+GS_CLASS_ENUM_LIMIT = 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,11 +150,7 @@ def tau_classes(n: int, w: int, W: int) -> list[list[Word]]:
     modulus = n - 2 * W
     if modulus < 1:
         raise ValueError(f"modulus n - 2W = {modulus} must be positive")
-    if comb(n, w) > MATERIALIZE_LIMIT:
-        raise ResourceLimitError(
-            f"C({n},{w}) = {comb(n, w)} words exceed the materialization limit "
-            f"{MATERIALIZE_LIMIT}"
-        )
+    refuse_over(f"C({n},{w})", comb(n, w), MATERIALIZE_LIMIT, "materialization")
     classes: list[list[Word]] = [[] for _ in range(modulus)]
     for word in enumerate_words(n, w):
         classes[tau(word, W)].append(word)
@@ -189,19 +184,17 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
         base = construct_tournament(n, W) if n - w == 1 else construct_orbit(n, W)
         flipped = [word.complement() for word in base.words]
         candidates.append(_with_euler_witness(n, w, W, flipped))
-    if n >= 4 * W and comb(n, w) <= 10**5:
+    if n >= 4 * W and comb(n, w) <= GS_CLASS_ENUM_LIMIT:
         candidates.append(construct_graham_sloane(n, w, W))
     if not candidates:
-        candidates.append(LightCode(n, w, W, (enumerate_words(n, w)[0],), None))
+        candidates.append(LightCode(n, w, W, (Word((1 << w) - 1, n, w),), None))
     return max(candidates, key=lambda c: c.size)
 
 
 def boundary_exact(n: int, w: int, W: int) -> int | None:
     """Closed-form L(W,n,w) for w or n-w in {1,2}; None otherwise."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_weight(n, w)
+    _check_lightness(W)
     if w == 1 or n - w == 1:
         return min(2 * W + 1, n)
     if w == 2 or n - w == 2:
@@ -212,10 +205,8 @@ def boundary_exact(n: int, w: int, W: int) -> int | None:
 @cache
 def johnson_upper(n: int, w: int, W: int) -> int:
     """Recursive upper bound on L(W,n,w), anchored at the closed forms."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_weight(n, w)
+    _check_lightness(W)
     if w > n - w:
         w = n - w  # complement symmetry
     if W >= w * (n - w):
@@ -242,16 +233,10 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     The returned code is re-verified by ``orientation_feasible``, whose
     witness is checked edge by edge.
     """
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_weight(n, w)
+    _check_lightness(W)
     total = comb(n, w)
-    if total > EXACT_SEARCH_LIMIT:
-        raise ResourceLimitError(
-            f"C({n},{w}) = {total} exceeds the exhaustive search limit "
-            f"{EXACT_SEARCH_LIMIT}"
-        )
+    refuse_over(f"C({n},{w})", total, EXACT_SEARCH_LIMIT, "exhaustive search")
     graph = JohnsonGraph(n, w)
     upper = johnson_upper(n, w, W)
     incumbent = best_construction(n, w, W)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Word
+from .words import Word, _check_weight
 
 SCENARIOS = (
     "null-gauss-1d",
@@ -58,8 +58,7 @@ class Dataset:
 
 def _random_labeling(rng: np.random.Generator, n: int, w: int):
     """A uniform weight-w labeling as (Word, ones, zeros), positions ascending."""
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    _check_weight(n, w)
     bits = rng.permutation(np.arange(n) < w)
     ones = bits.nonzero()[0]
     return Word.from_support(n, ones.tolist()), ones, (~bits).nonzero()[0]

@@ -19,6 +19,7 @@ from .datagen import generate_data
 from .learners import Learner, make_learner
 from .lpocv import histogram_from_errors
 from .wilcoxon import critical_value
+from .words import _check_weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,8 +36,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not 0 < self.w < self.n:
-            raise ValueError(f"need 0 < w < n, got n={self.n}, w={self.w}")
+        _check_weight(self.n, self.w)
 
     def learner(self) -> Learner:
         return make_learner(self.learner_spec)

@@ -30,6 +30,17 @@ class ResourceLimitError(RuntimeError):
     """An operation would exceed its documented size limit."""
 
 
+def refuse_over(what: str, amount: int, limit: int, name: str) -> None:
+    """Raise ``ResourceLimitError`` when ``amount`` of ``what`` exceeds ``limit``."""
+    if amount > limit:
+        raise ResourceLimitError(f"{what} = {amount} exceeds the {name} limit {limit}")
+
+
+def _check_lightness(W: int) -> None:
+    if W < 0:
+        raise ValueError("lightness parameter W must be nonnegative")
+
+
 @dataclass(frozen=True, slots=True)
 class JohnsonGraph:
     """The full Johnson graph J(n,w); vertices are identified with ranks."""
@@ -60,11 +71,8 @@ class JohnsonGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min rank, max rank) pairs, sorted."""
-        if self.num_vertices > MATERIALIZE_LIMIT:
-            raise ResourceLimitError(
-                f"J({self.n},{self.w}) has {self.num_vertices} vertices, "
-                f"over the materialization limit {MATERIALIZE_LIMIT}"
-            )
+        refuse_over(f"edges of J({self.n},{self.w})", self.num_edges, MATERIALIZE_LIMIT,
+                    "materialization")
         # In colex order a word's position is its rank.
         index = {word.mask: r for r, word in enumerate(iter_words(self.n, self.w))}
         return _edges_among(index, self.n)
@@ -177,7 +185,7 @@ class OrientedSet:
     orientation exists.  A refused push keeps R, and ``check_refusal``
     verifies from the adjacency alone that R spans more edges than the sum
     of its caps.  Every arc change goes on a trail, and pop() undoes the
-    last push exactly.
+    last push exactly; commit() forgets the trail when no pop will come.
     """
 
     def __init__(self, num_vertices: int, edges, cap):
@@ -256,6 +264,11 @@ class OrientedSet:
                 out[b].add(a)
         self.member[v] = False
 
+    def commit(self) -> None:
+        """Drop the undo history: what was pushed so far stays for good."""
+        self.trail.clear()
+        self.pushed.clear()
+
     def fits(self, v: int) -> bool:
         """Whether v could be pushed now; the state is left unchanged."""
         if self.push(v):
@@ -280,6 +293,7 @@ def _orient_within(g: InducedSubgraph, cap: dict[int, int]) -> Orientation | Non
         if not state.push(i):
             state.check_refusal()
             return None
+        state.commit()
     out = state.out
     forward = [y in out[x] for x, y in local]
     for e, (x, y), fwd in zip(g.edges, local, forward):
@@ -300,8 +314,7 @@ def orientation_feasible(g: InducedSubgraph, W: int) -> tuple[bool, Orientation 
     Past the density check, ``_orient_within`` decides with cap W at every
     vertex, and certifies either verdict.
     """
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_lightness(W)
     if len(g.edges) > W * len(g.vertices):
         return False, None  # density obstruction, no search needed
     witness = _orient_within(g, dict.fromkeys(g.vertices, W))

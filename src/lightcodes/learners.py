@@ -176,6 +176,8 @@ class ConstantLearner(BatchedLearner):
 
     def __init__(self, scores=None, feature: int = 0):
         self.scores = None if scores is None else np.asarray(scores, dtype=float)
+        if self.scores is not None and self.scores.ndim != 1:
+            raise ValueError(f"scores must be a 1-d vector, got shape {self.scores.shape}")
         self.feature = _check_feature(feature)
         self.name = "constant(scores)" if scores is not None else f"constant(feature={self.feature})"
 

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .datagen import Dataset
-from .johnson import JohnsonGraph, Orientation, ResourceLimitError
+from .johnson import JohnsonGraph, Orientation, refuse_over
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
 from .words import Word, _check_params, iter_words
@@ -62,12 +62,7 @@ def _labeling_blocks(n: int, w: int):
 
 def _all_error_counts(learner: Learner, data: Dataset, w: int) -> np.ndarray:
     """Error count of every labeling in S(n,w), in ``_labeling_blocks`` order."""
-    total = comb(data.n, w)
-    if total > EXACT_NULL_LIMIT:
-        raise ResourceLimitError(
-            f"C({data.n},{w}) = {total} labelings exceed the exact-null limit "
-            f"{EXACT_NULL_LIMIT}"
-        )
+    refuse_over(f"C({data.n},{w})", comb(data.n, w), EXACT_NULL_LIMIT, "exact-null")
     blocks = _labeling_blocks(data.n, w)
     return np.concatenate([learner.error_counts(data, block) for block in blocks])
 
@@ -137,17 +132,16 @@ def orientation_of_learner(
     learner errs for the differing pair; the label-switch constraint
     guarantees exactly one direction per edge (checked).  Outdegrees then
     equal per-labeling error counts, returned as the exact histogram.
+    The full graph is listed first, so one with more edges than
+    ``johnson.MATERIALIZE_LIMIT`` is refused before any prediction.
     """
     n = data.n
-    graph = JohnsonGraph(n, w)
-    if graph.num_vertices > 10**4:
-        raise ResourceLimitError("orientation extraction is for small S(n,w) only")
+    g = JohnsonGraph(n, w).full_subgraph()
     mat = bit_matrix(list(iter_words(n, w)), n)  # row r is the labeling of rank r
     lows, highs = np.triu_indices(n, 1)
     errors = np.concatenate([errs for _, errs in pair_errors(learner, data, mat, lows, highs)])
     pair = np.zeros((n, n), dtype=np.int64)
     pair[lows, highs] = np.arange(len(lows))
-    g = graph.full_subgraph()
     r, s = np.array(g.edges).reshape(-1, 2).T
     # The two labelings of an edge differ exactly at the two positions of its pair.
     k = pair[tuple(np.nonzero(mat[r] != mat[s])[1].reshape(-1, 2).T)]

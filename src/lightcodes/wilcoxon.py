@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .johnson import ResourceLimitError
+from .johnson import refuse_over
+from .words import _check_weight
 
 _q_memo: dict = {}  # always empty; bench/child.py still reports its size
 
@@ -106,8 +107,7 @@ def _cumulative_counts(n: int, w: int, K: int) -> _Digits:
     Z[q]/(q^(K+1)) homomorphically onto the integers mod 2^(b(K+1)), and
     every final coefficient lies in [0, 2^b), so the digits are exact.
     """
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    _check_weight(n, w)
     w = min(w, n - w)
     width = comb(n, w).bit_length() // 8 + 1
     b = 8 * width
@@ -135,8 +135,7 @@ def q_count(W: int, n: int, w: int) -> int:
     The Gaussian binomial's coefficients up to degree W, summed; no state is
     kept between calls.
     """
-    if not 0 < w < n:
-        raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+    _check_weight(n, w)
     if W < 0:
         return 0
     if W >= w * (n - w):
@@ -229,11 +228,8 @@ def wmw_critical_grid(alpha, max_size: int) -> dict[tuple[int, int], int | None]
     K = _degree_needed(a, max_size * max_size)
     width = max_size // 4 + 1
     estimate = (max_size + 1) * (K + 1) * width
-    if estimate > GRID_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"WMW grid up to size {max_size} needs about {estimate} bytes of packed "
-            f"series, over the limit {GRID_BYTES_LIMIT}"
-        )
+    refuse_over(f"packed bytes of the WMW grid up to size {max_size}", estimate,
+                GRID_BYTES_LIMIT, "grid")
     b = 8 * width
     ones = ((1 << b * (K + 1)) - 1) // ((1 << b) - 1)  # 1/(1 - q): every digit 1
     row = [ones] * (max_size + 1)

@@ -18,9 +18,14 @@ from typing import Iterator
 MAX_LENGTH = 64
 
 
-def _check_params(n: int, w: int) -> None:
+def _check_weight(n: int, w: int) -> None:
+    """The (n, w) domain of every layer: both classes of S(n,w) nonempty."""
     if not 0 < w < n:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
+
+
+def _check_params(n: int, w: int) -> None:
+    _check_weight(n, w)
     if n > MAX_LENGTH:
         raise ValueError(f"word length {n} exceeds supported maximum {MAX_LENGTH}")
 

@@ -157,6 +157,15 @@ def test_tau_classes_refuse_past_the_materialization_limit(monkeypatch):
         tau_classes(9, 3, 1)
 
 
+def test_best_construction_falls_back_to_one_word_without_enumerating(monkeypatch):
+    def never(n, w):
+        raise AssertionError(f"enumerated S({n},{w})")
+
+    monkeypatch.setattr(codes, "enumerate_words", never)
+    code = best_construction(30, 15, 10)  # no construction applies: 30 < 4W
+    assert code.size == 1 and code.words[0] == Word((1 << 15) - 1, 30, 15)
+
+
 @pytest.mark.parametrize(
     "construct, args",
     [(construct_tournament, (5,)), (construct_orbit, (9,)), (construct_graham_sloane, (9, 3))],

@@ -291,6 +291,16 @@ def test_random_orientation_handshake():
         assert total == comb(5, 2) * 2 * 3 // 2
 
 
+def test_edges_refused_by_edge_count_before_listing(monkeypatch):
+    # J(24,7) has 346,104 vertices, under the limit, and 20,593,188 edges.
+    def never(n, w):
+        raise AssertionError(f"listed S({n},{w})")
+
+    monkeypatch.setattr(johnson, "iter_words", never)
+    with pytest.raises(johnson.ResourceLimitError, match="20593188"):
+        random_orientation(JohnsonGraph(24, 7), 0)
+
+
 def test_count_w_light():
     o = eulerian_orientation(JohnsonGraph(4, 2).full_subgraph())
     assert count_w_light(o, 2) == 6

@@ -65,6 +65,13 @@ def test_constant_learner_sorted_labelings():
     assert learner.error_counts(data, [reversed_lab])[0] == 9
 
 
+@pytest.mark.parametrize("scores", [0, [[0.0, 1.0]]])
+def test_constant_learner_rejects_non_vector_scores(scores):
+    # ConstantLearner(0) binds scores=0, not feature=0.
+    with pytest.raises(ValueError, match="1-d"):
+        ConstantLearner(scores)
+
+
 def test_constant_learner_tie_rule():
     data = Dataset(np.zeros((4, 1)))
     learner = ConstantLearner(feature=0)

@@ -246,6 +246,17 @@ def test_orientation_of_learner_checks_label_switch():
         orientation_of_learner(PeekingLearner(), data, 2)
 
 
+def test_orientation_of_learner_refuses_before_predicting(monkeypatch):
+    # J(18,9) has 48,620 vertices and 1,969,110 edges, over the edge limit.
+    def never(*args):
+        raise AssertionError("predicted pairs")
+
+    monkeypatch.setattr(lpocv, "pair_errors", never)
+    data = Dataset(np.zeros((18, 1)))
+    with pytest.raises(ResourceLimitError, match="1969110"):
+        orientation_of_learner(ConstantLearner(feature=0), data, 9)
+
+
 def test_histogram_helpers():
     hist = histogram_from_errors([0, 0, 2, 4], 5, 2)
     assert hist.counts == (2, 0, 1, 0, 1, 0, 0)
