@@ -19,7 +19,7 @@ from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, refuse_over
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
-from .words import Word, _check_params, iter_words
+from .words import Word, _check_params, _check_weight, iter_words
 
 EXACT_NULL_LIMIT = 10**6
 MC_EXACT_THRESHOLD = 10**5
@@ -73,17 +73,20 @@ def exact_null_distribution(learner: Learner, data: Dataset, w: int) -> Empirica
 
 
 def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
-    """Uniform labelings from S(n,w), one independent stream per draw.
+    """``count`` uniform labelings from S(n,w), one stream per block of rows.
 
-    Each row is a Fisher-Yates shuffle of the fixed base word, seeded by
-    (seed, draw index), so draws are order-independent.
-    """
-    base = np.zeros(n, dtype=np.uint8)
-    base[:w] = 1
-    out = np.empty((count, n), dtype=np.uint8)
-    for r in range(count):
-        rng = np.random.default_rng((seed, r) if np.isscalar(seed) else (*seed, r))
-        out[r] = rng.permutation(base)
+    Each row is a Fisher-Yates shuffle of the base word; block b of
+    ``_ENUM_BLOCK_ROWS`` rows is keyed ``SeedSequence(seed, spawn_key=(b,))``,
+    never ``seed``'s own stream, so row r does not depend on ``count``."""
+    _check_weight(n, w)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    out = np.zeros((count, n), dtype=np.uint8)
+    out[:, :w] = 1
+    for b, start in enumerate(range(0, count, _ENUM_BLOCK_ROWS)):
+        block = out[start:start + _ENUM_BLOCK_ROWS]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        rng.permuted(block, axis=1, out=block)
     return out
 
 
@@ -92,14 +95,15 @@ def null_error_counts(
 ) -> tuple[np.ndarray, bool]:
     """Error counts of the permutation null, and whether they are exact: every
     labeling of S(n,w) when C(n,w) <= 10^5 (``exact`` overrides this choice,
-    within ``EXACT_NULL_LIMIT``),
-    else the M labelings of ``sample_labelings(n, w, M, seed)``."""
+    within ``EXACT_NULL_LIMIT``), else the M labelings of
+    ``sample_labelings(n, w, M, seed)``, M refused past the same limit."""
     if M < 1:
         raise ValueError("M must be at least 1")
     if exact is None:
         exact = comb(data.n, w) <= MC_EXACT_THRESHOLD
     if exact:
         return _all_error_counts(learner, data, w), True
+    refuse_over("Monte-Carlo labelings M", M, EXACT_NULL_LIMIT, "exact-null")
     return learner.error_counts(data, sample_labelings(data.n, w, M, seed)), False
 
 

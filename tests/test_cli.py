@@ -1,9 +1,13 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from lightcodes import lpocv
 from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
 from lightcodes.words import enumerate_words, read_word_file, write_word_file
@@ -276,6 +280,16 @@ def test_critical_wmw_grid_over_memory_limit_exits_3(capsys):
     assert code == 3 and out == "" and str(estimate) in err, err
 
 
+def test_simulate_mc_null_over_limit_exits_3_before_sampling(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("drew labelings")
+
+    monkeypatch.setattr(lpocv, "sample_labelings", never)
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", "constant",
+                         "--n", "40", "--w", "20", "--permutations", "1000000000")
+    assert code == 3 and out == "" and "resource limit" in err, err
+
+
 def test_exact_l_command(tmp_path, capsys):
     out = tmp_path / "opt.txt"
     code, stdout, _ = run(capsys, "exact-l", "--n", "4", "--w", "2", "--W", "0",
@@ -318,6 +332,21 @@ def test_rerun_determinism(argv, capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_module_runs_like_the_package():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["bounds", "--n-range", "3..4", "--w-range", "1..1", "--W-range", "0..0"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for name in ("lightcodes", "lightcodes.cli")
+    )
+    assert package.returncode == module.returncode == 0, module.stderr
+    assert package.stdout.startswith("n,w,W,lower,upper,exact\n3,1,0,1,1,1\n")
+    assert module.stdout == package.stdout
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()

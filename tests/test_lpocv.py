@@ -157,7 +157,63 @@ def test_sample_labelings_uniform_weight_and_order_independent():
     assert mat.shape == (25, 9)
     assert (mat.sum(axis=1) == 4).all()
     again = sample_labelings(9, 4, 50, seed=7)
-    assert np.array_equal(mat, again[:25])  # per-draw streams
+    assert np.array_equal(mat, again[:25])  # prefix-stable
+
+
+def test_sample_labelings_prefix_stable_across_block_boundary():
+    assert lpocv._ENUM_BLOCK_ROWS < 5000
+    for seed in (11, (11, 3)):
+        short = sample_labelings(9, 4, 5000, seed)
+        assert np.array_equal(short, sample_labelings(9, 4, 9000, seed)[:5000])
+
+
+def test_sample_labelings_never_draw_from_the_callers_own_stream():
+    # SeedSequence ignores trailing zero words, so a key (*seed, 0) would
+    # replay the stream a caller already drew its data from.
+    base = np.zeros((50, 30), dtype=np.uint8)
+    base[:, :15] = 1
+    for seed in (7, (7, 1), (41, 5), (1, 2, 0)):
+        drawn = sample_labelings(30, 15, 50, seed)
+        assert not np.array_equal(drawn, np.random.default_rng(seed).permuted(base, axis=1))
+        assert not np.array_equal(drawn[0], np.random.default_rng(seed).permutation(base[0]))
+
+
+def test_sample_labelings_uniform_over_s63():
+    mat = sample_labelings(6, 3, 20000, seed=19)
+    counts = np.bincount(mat.astype(np.int64) @ (1 << np.arange(6)), minlength=64)
+    words = [word.mask for word in iter_words(6, 3)]
+    assert counts.sum() == counts[words].sum() == 20000
+    sigma = (20000 * (1 / 20) * (19 / 20)) ** 0.5
+    assert (np.abs(counts[words] - 1000) <= 5 * sigma).all(), counts[words]
+    assert np.abs(mat.mean(axis=0) - 0.5).max() < 0.02
+
+
+@pytest.mark.parametrize("n, w, count", [(5, 7, 2), (5, 0, 2), (5, 5, 2), (5, 2, -1)])
+def test_sample_labelings_rejects_bad_inputs(n, w, count):
+    with pytest.raises(ValueError, match="0 < w < n" if count >= 0 else "count"):
+        sample_labelings(n, w, count, seed=1)
+
+
+def test_sample_labelings_have_no_length_cap():
+    assert sample_labelings(5, 2, 0, seed=1).shape == (0, 5)
+    mat = sample_labelings(80, 40, 3, seed=1)
+    assert mat.shape == (3, 80) and (mat.sum(axis=1) == 40).all()
+
+
+def test_mc_null_refused_past_the_limit_before_sampling(monkeypatch):
+    def never(*args):
+        raise AssertionError("drew labelings")
+
+    data = Dataset(np.zeros((40, 1)))
+    learner = ConstantLearner(feature=0)
+    monkeypatch.setattr(lpocv, "sample_labelings", never)
+    with pytest.raises(ResourceLimitError, match="exact-null limit 1000000"):
+        null_error_counts(learner, data, 20, 10**6 + 1, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(lpocv, "EXACT_NULL_LIMIT", 30)
+    assert len(null_error_counts(learner, data, 20, 30, 0)[0]) == 30
+    with pytest.raises(ResourceLimitError, match="31"):
+        mc_null_pvalue(learner, data, 20, 0, 31, 0)
 
 
 def test_mc_pvalue_extremes_and_exact_mode():
