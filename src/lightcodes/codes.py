@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from .johnson import (
@@ -27,10 +28,10 @@ from .johnson import (
     orientation_feasible,
     refuse_over,
 )
-from .words import Word, _check_weight, enumerate_words, rank
+from .words import Word, _check_weight, enumerate_words, iter_words, rank
 
-# C(7,3) = 35, the next size up, takes about 25 s at W = 1 and W = 5 and
-# more than 120 s at each of W = 2, 3, 4 (2-core VM, Python 3.11).
+# C(7,3) = 35, the next size up, takes about 0.5 s at W = 1, 9 s at W = 5 and
+# 145 s at W = 2; W = 3, 4 did not finish in 300 s (2-core VM, Python 3.11).
 EXACT_SEARCH_LIMIT = 24
 
 # Largest C(n,w) whose tau classes are enumerated for constructions and bound tables.
@@ -219,19 +220,41 @@ def johnson_upper(n: int, w: int, W: int) -> int:
     return min(jb1, jb2, comb(n, w))
 
 
-def exact_L(n: int, w: int, W: int, return_code: bool = False):
-    """Exact maximum size of a W-light (n,w) code, by branch and bound.
+def _split(cells: list[int], mask: int) -> list[int]:
+    """Refine a partition of the positions, as cell masks, by one chosen word."""
+    return [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
 
-    The chosen set keeps one orientation with every outdegree <= W for
-    the whole search and is updated incrementally (see
-    ``johnson.OrientedSet``), over the adjacency of ``JohnsonGraph.edges``.
-    Feasibility is monotone under subsets, so after every include each
-    candidate that no longer fits on its own is dropped, and a branch dies
-    when |chosen| + |candidates| cannot beat the incumbent.  J(n,w) is vertex-transitive, so the root only takes
-    its include branch.  The incumbent starts from the best closed-form
-    construction, and the search stops once it meets ``johnson_upper``.
-    The returned code is re-verified by ``orientation_feasible``, whose
-    witness is checked edge by edge.
+
+def _orbits(masks, cells, candidates) -> list[list[int]]:
+    """The candidates (indices into ``masks``) by orbit of the product of Sym(cell)
+    over the ``cells``, a count of ones per cell, in order of first appearance."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c in candidates:
+        groups.setdefault(tuple((masks[c] & cell).bit_count() for cell in cells), []).append(c)
+    return list(groups.values())
+
+
+def _extension_bound(W: int, slack: int, inside) -> int:
+    """Most candidates a W-light set S with ``slack`` W*|S| - edges(S) >= 0 can
+    take: a light S + T spans <= W*|S + T| edges (Hakimi 1965), so sum over T of
+    (inside[t] - W) <= slack, inside[t] being t's neighbors in S.  Prefix sums
+    of the ascending excesses fall, then rise, so those within slack count T."""
+    return sum(p <= slack for p in accumulate(sorted(d - W for d in inside)))
+
+
+def exact_L(n: int, w: int, W: int, return_code: bool = False):
+    """Exact maximum size of a W-light (n,w) code, by orbital branch and bound.
+
+    One ``johnson.OrientedSet`` keeps the chosen set oriented with
+    outdegrees <= W, and candidates that no longer fit alone are dropped.
+    A node takes its candidates' orbits under the chosen words' stabilizer
+    (``_orbits``) in turn: include one representative, or exclude the orbit
+    (Ostrowski, Linderoth, Rossi & Smriglio 2011).  Each group lies inside
+    its ancestors', so every exclusion stays closed under it; at the root
+    S(n,w) is one orbit.  A node dies when ``_extension_bound`` cannot beat
+    the incumbent, seeded by the best construction; the search stops once
+    it meets ``johnson_upper``.  The code found is re-verified by
+    ``orientation_feasible``.
     """
     _check_weight(n, w)
     _check_lightness(W)
@@ -239,36 +262,38 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     refuse_over(f"C({n},{w})", total, EXACT_SEARCH_LIMIT, "exhaustive search")
     graph = JohnsonGraph(n, w)
     upper = johnson_upper(n, w, W)
-    incumbent = best_construction(n, w, W)
-    best_size = incumbent.size
-    best_ranks = sorted(rank(word) for word in incumbent.words)
+    best_ranks = sorted(rank(word) for word in best_construction(n, w, W).words)
 
+    masks = [word.mask for word in iter_words(n, w)]
     state = OrientedSet(total, graph.edges(), [W] * total)
 
-    def extend(candidates: list[int]) -> bool:
-        """Branch on the candidates in order; True once the incumbent meets ``upper``."""
-        nonlocal best_size, best_ranks
+    def extend(candidates: list[int], cells: list[int]) -> bool:
+        """Branch on orbits over ``cells``, split by each chosen word; True at ``upper``."""
+        nonlocal best_ranks
         size = len(state.pushed)
-        if size > best_size:
-            best_size = size
+        if size > len(best_ranks):
             best_ranks = sorted(v for v, _ in state.pushed)
-            if best_size == upper:
+            if size == upper:
                 return True
-        for i, v in enumerate(candidates):
-            if size + len(candidates) - i <= best_size:
+        slack = W * size - sum(map(len, state.out))
+        inside = {c: sum(map(state.member.__getitem__, state.adj[c])) for c in candidates}
+        for orbit in _orbits(masks, cells, candidates):
+            if size + _extension_bound(W, slack, map(inside.get, candidates)) <= len(best_ranks):
                 break
+            v = orbit[0]
             if not state.push(v):
                 raise AssertionError(f"candidate {v} passed the filter but does not fit")
-            done = extend([c for c in candidates[i + 1:] if state.fits(c)])
+            fit = [c for c in candidates if c != v and state.fits(c)]
+            done = extend(fit, _split(cells, masks[v]))
             state.pop()
             if done:
                 return True
-            if size == 0:
-                break  # root: by vertex-transitivity some optimum contains vertex 0
+            candidates = [c for c in candidates if c not in orbit]
         return False
 
-    if best_size < upper:
-        extend(list(range(total)))
+    if len(best_ranks) < upper:
+        extend(list(range(total)), [(1 << n) - 1])
+    best_size = len(best_ranks)
     words = tuple(graph.word(r) for r in best_ranks)
     ok, witness = orientation_feasible(build_induced(graph, best_ranks), W)
     if not ok:

@@ -5,6 +5,8 @@ import itertools
 import networkx as nx
 import numpy as np
 
+from lightcodes.johnson import JohnsonGraph, OrientedSet
+
 
 def colex_masks(n: int, w: int) -> list[int]:
     """Every weight-w mask of length n, ascending; a mask's index is its rank."""
@@ -43,6 +45,37 @@ def nx_orientable(masks, cap) -> bool:
     for v in masks:
         net.add_edge(("vertex", v), "sink", capacity=caps[v])
     return nx.maximum_flow_value(net, "source", "sink") == len(edges)
+
+
+def plain_exact_L(n: int, w: int, W: int) -> int:
+    """L(W,n,w) by the plain include/exclude branch and bound over single words.
+
+    Candidates are taken in rank order: include one and drop every later
+    candidate that no longer fits, or exclude it.  A branch dies when
+    |chosen| + |candidates| cannot beat the best so far, and the root only
+    includes word 0 (J(n,w) is vertex-transitive).  No construction seeds
+    the incumbent and no upper bound stops the search early.
+    """
+    graph = JohnsonGraph(n, w)
+    total = graph.num_vertices
+    state = OrientedSet(total, graph.edges(), [W] * total)
+    best = 0
+
+    def extend(candidates: list[int]) -> None:
+        nonlocal best
+        size = len(state.pushed)
+        best = max(best, size)
+        for i, v in enumerate(candidates):
+            if size + len(candidates) - i <= best:
+                break
+            assert state.push(v)
+            extend([c for c in candidates[i + 1:] if state.fits(c)])
+            state.pop()
+            if size == 0:
+                break
+
+    extend(list(range(total)))
+    return best
 
 
 def knn_neighbor_table(X, k: int) -> np.ndarray:

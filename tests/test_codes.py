@@ -1,8 +1,9 @@
+import functools
 import itertools
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightcodes import codes
@@ -24,7 +25,7 @@ from lightcodes.johnson import (
     build_induced,
 )
 from lightcodes.words import Word, enumerate_words, hamming, transpose
-from oracles import nx_orientable
+from oracles import distance_two_pairs, nx_orientable, plain_exact_L
 
 
 def brute_force_L(n: int, w: int, W: int) -> int:
@@ -248,6 +249,98 @@ def test_exact_L_returns_verified_code():
     assert ok
 
 
+def _check_exact_code(size: int, code: LightCode, W: int) -> None:
+    assert size == code.size
+    assert nx_orientable([word.mask for word in code.words], W)
+    assert code.witness.max_outdegree() <= W
+
+
+def test_exact_L_matches_the_plain_branch_and_bound():
+    for W in range(10):
+        size, code = exact_L(6, 3, W, return_code=True)
+        assert size == plain_exact_L(6, 3, W), W
+        _check_exact_code(size, code, W)
+
+
+def test_exact_L_past_the_size_limit(monkeypatch):
+    with pytest.raises(ResourceLimitError, match=r"C\(7,3\) = 35"):
+        exact_L(7, 3, 1)
+    monkeypatch.setattr(codes, "EXACT_SEARCH_LIMIT", comb(7, 3))
+    size, code = exact_L(7, 3, 1, return_code=True)
+    assert size == 10
+    _check_exact_code(size, code, 1)
+
+
+def _cell_counts(mask: int, cells: list[list[int]]) -> list[int]:
+    return [sum(mask >> p & 1 for p in cell) for cell in cells]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbits_are_the_cell_preserving_classes(data):
+    n, w = data.draw(st.sampled_from([(6, 3), (7, 3)]))
+    masks = [word.mask for word in enumerate_words(n, w)]
+    ranks = st.integers(0, len(masks) - 1)
+    chosen = data.draw(st.lists(ranks, max_size=5, unique=True))
+    candidates = data.draw(st.lists(ranks, min_size=1, unique=True))
+    # Positions lying in the same chosen words; a permutation fixes every
+    # chosen word exactly when it keeps each of these cells in place.
+    by_signature: dict[tuple[int, ...], list[int]] = {}
+    for p in range(n):
+        by_signature.setdefault(tuple(masks[v] >> p & 1 for v in chosen), []).append(p)
+    cells = list(by_signature.values())
+
+    split = functools.reduce(codes._split, (masks[v] for v in chosen), [(1 << n) - 1])
+    assert sorted(split) == sorted(sum(1 << p for p in cell) for cell in cells)
+    groups = codes._orbits(masks, split, candidates)
+    position = {c: i for i, c in enumerate(candidates)}
+    assert sorted(c for group in groups for c in group) == sorted(candidates)
+    for group in groups:
+        assert [position[c] for c in group] == sorted(position[c] for c in group)
+    assert [position[group[0]] for group in groups] == sorted(position[g[0]] for g in groups)
+    for group in groups:
+        a = masks[group[0]]
+        for b in (masks[c] for c in group):
+            perm = {}
+            for cell in cells:
+                for bit in (1, 0):
+                    src = [p for p in cell if a >> p & 1 == bit]
+                    dst = [p for p in cell if b >> p & 1 == bit]
+                    assert len(src) == len(dst)
+                    perm.update(zip(src, dst))
+            assert sorted(perm.values()) == list(range(n))
+
+            def apply(m):
+                return sum(1 << perm[p] for p in range(n) if m >> p & 1)
+
+            assert apply(a) == b
+            assert all(apply(masks[v]) == masks[v] for v in chosen)
+    for g, h in itertools.combinations(groups, 2):
+        assert _cell_counts(masks[g[0]], cells) != _cell_counts(masks[h[0]], cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_bound_covers_every_light_extension(data):
+    n, w = data.draw(st.sampled_from([(5, 2), (6, 3), (7, 3)]))
+    W = data.draw(st.integers(0, 3))
+    masks = [word.mask for word in enumerate_words(n, w)]
+    order = data.draw(st.permutations(masks))
+    chosen = []
+    for m in order[: data.draw(st.integers(0, 8))]:
+        if nx_orientable(chosen + [m], W):
+            chosen.append(m)
+    rest = [m for m in order if m not in chosen]
+    candidates = rest[: data.draw(st.integers(0, min(12, len(rest))))]
+    edges = len(distance_two_pairs(chosen))
+    inside = [sum(bin(t ^ m).count("1") == 2 for m in chosen) for t in candidates]
+    bound = codes._extension_bound(W, W * len(chosen) - edges, inside)
+    # Subsets of a W-light set are W-light, so no light extension is longer
+    # than the bound once no extension one longer is light.
+    for extra in itertools.combinations(candidates, bound + 1):
+        assert not nx_orientable(chosen + list(extra), W), (chosen, extra, bound)
+
+
 def test_best_construction_is_light():
     for n, w, W in [(6, 3, 1), (7, 3, 0), (6, 2, 2), (6, 4, 1), (5, 4, 1)]:
         code = best_construction(n, w, W)
@@ -359,6 +452,5 @@ def test_exact_L_pinned_values_with_networkx_oracle():
     for (n, w), values in PINNED_L.items():
         for W, want in enumerate(values):
             size, code = exact_L(n, w, W, return_code=True)
-            assert size == code.size == want, (n, w, W)
-            assert nx_orientable([word.mask for word in code.words], W), (n, w, W)
-            assert code.witness.max_outdegree() <= W
+            assert size == want, (n, w, W)
+            _check_exact_code(size, code, W)
