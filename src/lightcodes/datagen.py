@@ -33,6 +33,11 @@ class InputFormatError(ValueError):
     """A user-supplied file could not be parsed."""
 
 
+def _check_finite(features: np.ndarray) -> None:
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features must be finite")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A feature matrix for one sample; rows are observations."""
@@ -43,8 +48,7 @@ class Dataset:
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 2:
             raise ValueError("features must be a 2-d matrix with at least 2 rows")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
+        _check_finite(feats)
         object.__setattr__(self, "features", feats)
 
     @property
@@ -56,30 +60,16 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _random_labeling(rng: np.random.Generator, n: int, w: int):
-    """A uniform weight-w labeling as (Word, ones, zeros), positions ascending."""
+def _random_labeling(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
+    """A uniform weight-w labeling as an (n,) bool row."""
     _check_weight(n, w)
-    bits = rng.permutation(np.arange(n) < w)
-    ones = bits.nonzero()[0]
-    return Word.from_support(n, ones.tolist()), ones, (~bits).nonzero()[0]
+    return rng.permutation(np.arange(n) < w)
 
 
-def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
-    """One sample for the given scenario: features plus a weight-w labeling.
-
-    Null scenarios draw all rows from a single distribution; the linear
-    scenarios shift the signal columns of the two classes to means +-0.5;
-    the nonlinear scenario gives the 0-class a two-mode signal feature
-    (means 5.5 and -4.5) straddling the 1-class at mean 0.5.  ``parity``
-    emits the label-leak column plus a fair coin column.  ``csv:<path>``
-    reads the documented CSV format instead of sampling features.
-    """
-    if scenario.startswith("csv:"):
-        return load_csv(scenario[4:], n, w, seed)
-    if scenario not in SCENARIOS:
-        raise InputFormatError(f"unknown scenario {scenario!r}")
-    rng = np.random.default_rng(seed)
-    labeling, ones, zeros = _random_labeling(rng, n, w)
+def _draw(scenario: str, rng: np.random.Generator, n: int, w: int):
+    """One synthetic sample from ``rng``: (features, labeling as an (n,) uint8 row)."""
+    bits = _random_labeling(rng, n, w)
+    ones, zeros = bits.nonzero()[0], (~bits).nonzero()[0]
 
     if scenario in ("null-gauss-1d", "null-gauss-10d"):
         d = 1 if scenario.endswith("1d") else 10
@@ -104,16 +94,41 @@ def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
         feats = np.zeros((n, 2))
         feats[ones, 0] = 1.0
         feats[:, 1] = coins
-    return Dataset(feats), labeling
+    return feats, bits.view(np.uint8)
 
 
-def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
-    """Read a dataset CSV: header row, numeric columns, optional final ``label``.
+def _sampler(scenario: str, n: int, w: int):
+    """``draw(seed) -> (features, 0/1 row)`` for one (scenario, n, w) cell.
 
-    With a label column the file's labeling is used (a requested ``w``
-    must then match); without one a uniform weight-``w`` labeling is drawn
-    from ``seed``.
+    A ``csv:`` file is read here, once; each draw then only draws its
+    labeling, when the file has no label column.
     """
+    if scenario.startswith("csv:"):
+        return _csv_sampler(scenario[4:], n, w)
+    if scenario not in SCENARIOS:
+        raise InputFormatError(f"unknown scenario {scenario!r}")
+    return lambda seed: _draw(scenario, np.random.default_rng(seed), n, w)
+
+
+def _sample(feats: np.ndarray, row: np.ndarray) -> tuple[Dataset, Word]:
+    return Dataset(feats), Word.from_support(len(row), row.nonzero()[0].tolist())
+
+
+def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
+    """One sample for the given scenario: features plus a weight-w labeling.
+
+    Null scenarios draw all rows from a single distribution; the linear
+    scenarios shift the signal columns of the two classes to means +-0.5;
+    the nonlinear scenario gives the 0-class a two-mode signal feature
+    (means 5.5 and -4.5) straddling the 1-class at mean 0.5.  ``parity``
+    emits the label-leak column plus a fair coin column.  ``csv:<path>``
+    reads the documented CSV format instead of sampling features.
+    """
+    return _sample(*_sampler(scenario, n, w)(seed))
+
+
+def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse a dataset CSV into its feature matrix and its 0/1 label row, if any."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -147,21 +162,34 @@ def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
     matrix = np.asarray(feats, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise InputFormatError(f"{path}: non-finite feature values")
-    if n is not None and n != matrix.shape[0]:
-        raise InputFormatError(
-            f"{path}: file has {matrix.shape[0]} rows, expected n={n}"
-        )
+    return matrix, np.array(labels, dtype=np.uint8) if has_label else None
+
+
+def _csv_sampler(path, n: int | None, w: int | None):
+    """``draw(seed)`` over one CSV file, read and checked once (see ``load_csv``)."""
+    matrix, labels = _read_csv(path)
     rows_n = matrix.shape[0]
-    if has_label:
-        file_w = sum(labels)
+    if n is not None and n != rows_n:
+        raise InputFormatError(f"{path}: file has {rows_n} rows, expected n={n}")
+    if labels is not None:
+        file_w = int(labels.sum())
         if w is not None and w != file_w:
             raise InputFormatError(
                 f"{path}: label column has weight {file_w}, expected w={w}"
             )
-        labeling = Word.from_support(rows_n, [i for i, v in enumerate(labels) if v])
-    else:
-        if w is None:
-            raise InputFormatError(f"{path}: no label column and no weight given")
-        rng = np.random.default_rng(seed)
-        labeling = _random_labeling(rng, rows_n, w)[0]
-    return Dataset(matrix), labeling
+        return lambda seed: (matrix, labels)
+    if w is None:
+        raise InputFormatError(f"{path}: no label column and no weight given")
+    return lambda seed: (
+        matrix, _random_labeling(np.random.default_rng(seed), rows_n, w).view(np.uint8)
+    )
+
+
+def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
+    """Read a dataset CSV: header row, numeric columns, optional final ``label``.
+
+    With a label column the file's labeling is used (a requested ``w``
+    must then match); without one a uniform weight-``w`` labeling is drawn
+    from ``seed``.
+    """
+    return _sample(*_csv_sampler(path, n, w)(seed))

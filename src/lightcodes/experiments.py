@@ -1,22 +1,24 @@
 """Replication-level experiments: empirical critical tables and type-II curves.
 
 A replication draws a fresh sample (and labeling) from a scenario and
-counts the learner's LPOCV errors.  Critical values are read off the
-replication histogram exactly as for the analytic tables: the largest
-error count whose empirical frequency stays strictly below the level.
-Per-replication seeds derive from (config seed, cell, index) so results
-are independent of execution order.
+counts the learner's LPOCV errors; a cell's replications are drawn and
+scored as stacks of samples, block by block.  Critical values are read
+off the replication histogram exactly as for the analytic tables: the
+largest error count whose empirical frequency stays strictly below the
+level.  Per-replication seeds derive from (config seed, cell, index) so
+results are independent of execution order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
-from .datagen import generate_data
-from .learners import Learner, make_learner
+from .datagen import _check_finite, _sampler
+from .learners import Learner, make_learner, sample_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import critical_value
 from .words import _check_weight
@@ -42,15 +44,36 @@ class SimulationConfig:
         return make_learner(self.learner_spec)
 
 
+# Samples per block are capped so that samples x n x max(pairs, n x d) stays
+# below this: a sample's largest kernel temporaries are the (pairs, n) rows of
+# ridge and knn and knn's (n, n, d) distance tensor, 256 KiB as float64.
+# Past 128 KiB, glibc's default mmap threshold, a temporary is page-faulted in
+# afresh on each block, so at n = 40 two stacked ridge samples cost more than
+# two single ones; smaller blocks lose more on the smaller n of a study.
+_SAMPLE_BLOCK_ELEMENTS = 1 << 15
+
+
 def replicate_error_counts(
     learner: Learner, scenario: str, n: int, w: int, reps: int, seed
 ) -> np.ndarray:
-    """LPOCV error counts over fresh samples, one per replication."""
+    """LPOCV error counts over fresh samples, one per replication.
+
+    Replication r scores ``generate_data(scenario, n, w, seed + (n, w, r))``;
+    its count depends on neither ``reps`` nor the block it is scored in.
+    """
     seed_base = (seed,) if np.isscalar(seed) else tuple(seed)
+    samples = map(_sampler(scenario, n, w), (seed_base + (n, w, r) for r in range(reps)))
     out = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        data, labeling = generate_data(scenario, n, w, seed_base + (n, w, r))
-        out[r] = learner.error_counts(data, [labeling])[0]
+    if not reps:
+        return out
+    first = next(samples)
+    d = first[0].shape[1]
+    step = max(1, _SAMPLE_BLOCK_ELEMENTS // max(1, n * w * (n - w), n * n * d))
+    samples = chain([first], samples)
+    for start in range(0, reps, step):
+        feats, rows = map(np.stack, zip(*islice(samples, step)))
+        _check_finite(feats)
+        out[start:start + len(rows)] = sample_error_counts(learner, feats, rows)
     return out
 
 

@@ -17,9 +17,11 @@ only the remaining rows' labels may influence the prediction.
 Each learner has two evaluation paths, both over labelings as (n,) uint8
 0/1 rows.  ``pair_bit`` with the base-class per-pair loop
 ``Learner.error_counts`` is the reference.  The built-in learners also give
-a batched ``pair_kernel`` (canonical bits for a block of rows at once), which
-``BatchedLearner.error_counts`` reduces to error counts; tests hold the two
-paths equal.
+a batched ``pair_kernel``: canonical bits for a stack of R samples, each
+with its own pairs and a block of its rows, at once.  ``stack_error_counts``
+reduces it to error counts; ``BatchedLearner.error_counts`` (one sample,
+many labelings) is its R = 1 case and the replication harness (many
+samples, one labeling each) stacks samples.  Tests hold the paths equal.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 from .datagen import Dataset
 from .words import Word
 
-# Rows per kernel block are capped so that rows x pairs x n stays below
-# this, which bounds ridge's per-block float temporary at 1 MiB.
+# Rows per kernel block are capped so that samples x rows x pairs x n stays
+# below this, which bounds ridge's per-block float temporary at 1 MiB.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -63,29 +65,71 @@ def bit_matrix(labelings, n: int) -> np.ndarray:
     return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
 
 
+def _split_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical pairs (low < high) of each row of an (R, n) matrix whose rows
+    share one weight w, as (R, w(n-w)) arrays: every 1 with every 0."""
+    R, n = rows.shape
+    w = int(rows[0].sum()) if R else 0
+    ones = np.nonzero(rows)[1].reshape(R, w, 1)
+    zeros = np.nonzero(rows == 0)[1].reshape(R, 1, n - w)
+    shape = (R, w * (n - w))
+    return np.minimum(ones, zeros).reshape(shape), np.maximum(ones, zeros).reshape(shape)
+
+
 def _differing_pairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical pairs (low < high) labeled differently in at least one row."""
+    """Canonical pairs labeled differently in at least one row, as (1, K) arrays."""
     if len(mat) == 1:
-        ones, zeros = mat[0].nonzero()[0][:, None], (mat[0] == 0).nonzero()[0]
-        return np.minimum(ones, zeros).ravel(), np.maximum(ones, zeros).ravel()
+        return _split_pairs(mat)
     y = mat.astype(np.float64)
     split = y.T @ (1.0 - y)  # split[a, b] = rows with a 1 at a and a 0 at b
-    return np.nonzero(np.triu(split + split.T, 1))
+    lows, highs = np.nonzero(np.triu(split + split.T, 1))
+    return lows[None], highs[None]
 
 
-def pair_errors(learner: "Learner", data: Dataset, mat: np.ndarray, lows, highs):
-    """Yield (start, errors) per row block of ``mat`` from the learner's kernel.
+def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per-sample gather along the last axis: (R, ..., n) at (R, K) -> (R, ..., K).
 
-    ``errors[l, k]`` is true iff row ``start + l`` labels pair k differently and
-    the learner misorders it: the 1-labeled member is ``highs[k]`` exactly
-    when the canonical bit is 0, so the error is ``bit == y[highs[k]]``.
+    The sample axis is folded into the last one, so one flat ``take`` serves
+    every sample (``take_along_axis`` is several times slower here)."""
+    R, n = a.shape[0], a.shape[-1]
+    if R == 1:
+        return a.take(idx[0], axis=-1)
+    rows = a.reshape(R, -1, n).transpose(1, 0, 2).reshape(-1, R * n)
+    got = rows.take(idx + n * np.arange(R)[:, None], axis=1)
+    return got.transpose(1, 0, 2).reshape(a.shape[:-1] + idx.shape[1:])
+
+
+def pair_errors(learner: "Learner", feats: np.ndarray, mats: np.ndarray, lows, highs):
+    """Yield (start, errors) per block of labelings from the learner's kernel.
+
+    ``feats`` (R, n, d) stacks R samples, ``mats`` (R, L, n) holds L labelings
+    of each and ``lows``, ``highs`` (R, K) are each sample's pairs.
+    ``errors[r, l, k]`` is true iff labeling ``start + l`` of sample r labels
+    pair k differently and the learner misorders it: the 1-labeled member is
+    ``highs[r, k]`` exactly when the canonical bit is 0, so the error is
+    ``bit == y[highs[r, k]]``.
     """
-    kernel = learner.pair_kernel(data, lows, highs)
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(lows) * data.n))
-    for start in range(0, len(mat) if len(lows) else 0, step):
-        block = mat[start:start + step]
-        y_lo, y_hi = block.take(lows, axis=1), block.take(highs, axis=1)
+    kernel = learner.pair_kernel(feats, lows, highs)
+    R, L, n = mats.shape
+    K = lows.shape[1]
+    step = max(1, _BLOCK_ELEMENTS // max(1, R * K * n))
+    for start in range(0, L if K else 0, step):
+        block = mats[:, start:start + step]
+        y_lo, y_hi = _at(block, lows), _at(block, highs)
         yield start, (y_lo != y_hi) & (kernel(block) == y_hi)
+
+
+def stack_error_counts(learner: "Learner", feats, mats, lows, highs) -> np.ndarray:
+    """(R, L) LPOCV error counts of ``pair_errors``' stack, over each sample's pairs."""
+    out = np.zeros(mats.shape[:2], dtype=np.int64)
+    for start, errors in pair_errors(learner, feats, mats, lows, highs):
+        out[:, start:start + errors.shape[1]] = errors.sum(axis=2)
+    return out
+
+
+def sample_error_counts(learner: "Learner", feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Error count of labeling ``rows[r]`` on sample ``feats[r]``, for rows of one weight."""
+    return stack_error_counts(learner, feats, rows[:, None], *_split_pairs(rows))[:, 0]
 
 
 def _check_feature(feature) -> int:
@@ -94,10 +138,13 @@ def _check_feature(feature) -> int:
     return int(feature)
 
 
-def _feature_column(data: Dataset, feature: int) -> np.ndarray:
-    if feature >= data.d:
-        raise ValueError(f"feature {feature} out of range for d={data.d} feature columns")
-    return data.features[:, feature]
+def _feature_column(feats: np.ndarray, feature: int) -> np.ndarray:
+    """Column ``feature`` of each of the (R, n, d) stacked samples, as (R, n)."""
+    if feature >= feats.shape[2]:
+        raise ValueError(
+            f"feature {feature} out of range for d={feats.shape[2]} feature columns"
+        )
+    return feats[:, :, feature]
 
 
 class Learner(ABC):
@@ -136,21 +183,26 @@ class Learner(ABC):
             out[idx] = errs
         return out
 
-    def pair_kernel(self, data: Dataset, lows: np.ndarray, highs: np.ndarray):
-        """Batched canonical bits for the pairs (lows[k], highs[k]), lows < highs.
+    def pair_kernel(self, feats: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+        """Batched canonical bits for R stacked samples and their pairs.
 
-        Returns ``kernel(block)``, mapping an (L, n) block of 0/1 rows to an
-        (L, K) array whose entry (l, k) equals ``pair_bit`` for row l and
-        pair k wherever row l labels that pair differently; the other
-        entries are unspecified.  Per-dataset set-up runs here, once, before
-        any block.  This default calls ``pair_bit`` for each such entry.
+        ``feats`` (R, n, d) holds the samples' features and ``lows``,
+        ``highs`` (R, K) sample r's pairs, ``lows[r, k] < highs[r, k]``.
+        Returns ``kernel(block)``, mapping an (R, L, n) block of 0/1 rows, L
+        labelings of each sample, to an (R, L, K) array whose entry
+        (r, l, k) equals ``pair_bit`` for sample r, its row l and its pair k
+        wherever that row labels the pair differently; the other entries are
+        unspecified.  Per-sample set-up runs here, once, before any block.
+        This default calls ``pair_bit`` for each such entry.
         """
+        datasets = [Dataset(x) for x in feats]
 
         def kernel(block):
-            bits = np.zeros((len(block), len(lows)), dtype=bool)
-            for r, y in enumerate(block):
-                for k in np.flatnonzero(y[lows] != y[highs]).tolist():
-                    bits[r, k] = self.pair_bit(data, y, int(lows[k]), int(highs[k]))
+            bits = np.zeros(block.shape[:2] + lows.shape[1:], dtype=bool)
+            for r, (data, lo, hi) in enumerate(zip(datasets, lows, highs)):
+                for l, y in enumerate(block[r]):
+                    for k in np.flatnonzero(y[lo] != y[hi]).tolist():
+                        bits[r, l, k] = self.pair_bit(data, y, int(lo[k]), int(hi[k]))
             return bits
 
         return kernel
@@ -161,10 +213,7 @@ class BatchedLearner(Learner):
 
     def error_counts(self, data: Dataset, labelings) -> np.ndarray:
         mat = bit_matrix(labelings, data.n)
-        out = np.zeros(len(mat), dtype=np.int64)
-        for start, errors in pair_errors(self, data, mat, *_differing_pairs(mat)):
-            out[start:start + len(errors)] = errors.sum(axis=1)
-        return out
+        return stack_error_counts(self, data.features[None], mat[None], *_differing_pairs(mat))[0]
 
 
 class ConstantLearner(BatchedLearner):
@@ -181,20 +230,21 @@ class ConstantLearner(BatchedLearner):
         self.feature = _check_feature(feature)
         self.name = "constant(scores)" if scores is not None else f"constant(feature={self.feature})"
 
-    def _score_vector(self, data: Dataset) -> np.ndarray:
+    def _score_vector(self, feats: np.ndarray) -> np.ndarray:
+        """(R, n) scores of the stacked samples."""
         if self.scores is not None:
-            if len(self.scores) != data.n:
+            if len(self.scores) != feats.shape[1]:
                 raise ValueError("score vector length does not match the sample")
-            return self.scores
-        return _feature_column(data, self.feature)
+            return np.broadcast_to(self.scores, feats.shape[:2])
+        return _feature_column(feats, self.feature)
 
     def pair_bit(self, data, y, low, high):
-        s = self._score_vector(data)
+        s = self._score_vector(data.features[None])[0]
         return int(s[low] > s[high])
 
-    def pair_kernel(self, data, lows, highs):
-        s = self._score_vector(data)
-        bits = (s[lows] > s[highs])[None, :]
+    def pair_kernel(self, feats, lows, highs):
+        s = self._score_vector(feats)
+        bits = (_at(s, lows) > _at(s, highs))[:, None]
         return lambda block: bits
 
 
@@ -208,19 +258,21 @@ class ParityLearner(BatchedLearner):
 
     name = "parity"
 
-    def _flip(self, data: Dataset) -> int:
-        if data.d < 2:
+    def _flip(self, feats: np.ndarray) -> np.ndarray:
+        """(R,) bool: whether each stacked sample's coin column sums to an odd count."""
+        if feats.shape[2] < 2:
             raise ValueError("parity learner needs two feature columns")
-        return int(round(float(data.features[:, 1].sum()))) & 1
+        return np.fmod(np.rint(feats[:, :, 1].sum(axis=1)), 2) != 0
 
     def pair_bit(self, data, y, low, high):
         leak = data.features[:, 0]
         base = int(leak[low] > leak[high])
-        return base ^ self._flip(data)
+        return base ^ int(self._flip(data.features[None])[0])
 
-    def pair_kernel(self, data, lows, highs):
-        leak = data.features[:, 0]
-        bits = ((leak[lows] > leak[highs]) ^ bool(self._flip(data)))[None, :]
+    def pair_kernel(self, feats, lows, highs):
+        flip = self._flip(feats)
+        leak = feats[:, :, 0]
+        bits = ((_at(leak, lows) > _at(leak, highs)) ^ flip[:, None])[:, None]
         return lambda block: bits
 
 
@@ -237,7 +289,7 @@ class OrderDirectionLearner(BatchedLearner):
         self.name = f"order-direction(feature={self.feature})"
 
     def pair_bit(self, data, y, low, high):
-        f = _feature_column(data, self.feature)
+        f = _feature_column(data.features[None], self.feature)[0]
         train = np.ones(data.n, dtype=bool)
         train[[low, high]] = False
         ones, zeros = f[train & (y == 1)], f[train & (y == 0)]
@@ -245,23 +297,26 @@ class OrderDirectionLearner(BatchedLearner):
             return int(f[low] > f[high])
         return int(f[low] < f[high])
 
-    def pair_kernel(self, data, lows, highs):
-        f = _feature_column(data, self.feature)
-        # sign[r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
-        # concordant / discordant pair.
-        sign = (f[:, None] > f[None, :]).astype(np.int64) - (f[:, None] < f[None, :])
-        colsum = sign.sum(axis=0)
-        pos, neg = f[lows] > f[highs], f[lows] < f[highs]
+    def pair_kernel(self, feats, lows, highs):
+        f = _feature_column(feats, self.feature)
+        # sign[s, r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
+        # concordant / discordant pair of sample s.
+        sign = (f[:, :, None] > f[:, None, :]).astype(np.int64) - (f[:, :, None] < f[:, None, :])
+        colsum = sign.sum(axis=1)
+        f_lo, f_hi = _at(f, lows), _at(f, highs)
+        pos, neg = (f_lo > f_hi)[:, None], (f_lo < f_hi)[:, None]
+        sum_lo, sum_hi = _at(colsum, lows)[:, None], _at(colsum, highs)[:, None]
+        sign_pair = sign[np.arange(len(f))[:, None], lows, highs][:, None]
 
         def kernel(block):
             y = block.astype(np.int64)
-            col = y @ sign  # col[l, c]: sign[r, c] summed over the 1-labeled r
-            full = (y * (col - colsum)).sum(axis=1, keepdims=True)
-            y_lo, y_hi = y[:, lows], y[:, highs]
+            col = y @ sign  # col[s, l, c]: sign[s, r, c] summed over the 1-labeled r
+            full = (y * (col - colsum[:, None])).sum(axis=2, keepdims=True)
+            y_lo, y_hi = _at(y, lows), _at(y, highs)
             # Concordant minus discordant pairs of the whole sample, less every
             # term with a held-out row on either side; ties go positive.
-            net = full - col[:, lows] - col[:, highs] + y_lo * colsum[lows]
-            net += y_hi * colsum[highs] + (y_lo - y_hi) * sign[lows, highs]
+            net = full - _at(col, lows) - _at(col, highs) + y_lo * sum_lo
+            net += y_hi * sum_hi + (y_lo - y_hi) * sign_pair
             return np.where(net >= 0, pos, neg)
 
         return kernel
@@ -300,33 +355,36 @@ class RandomOrientationLearner(BatchedLearner):
         digest.update(held[1])
         return digest.digest()[0] & 1
 
-    def pair_kernel(self, data, lows, highs):
+    def pair_kernel(self, feats, lows, highs):
         # Same digest input as pair_bit: each row's entries are sorted once and
         # a pair's hash skips its two entries in the sorted concatenation.
-        n = data.n
-        rows = [self._row_bytes(row) for row in data.features]
-        size = len(rows[0]) + 1
-        pairs = list(zip(lows.tolist(), highs.tolist()))
-        held = [b"".join(sorted((rows[a], rows[b]))) for a, b in pairs]
+        n, size = feats.shape[1], 8 * feats.shape[2] + 1
+        samples = []
+        for x, lo, hi in zip(feats, lows.tolist(), highs.tolist()):
+            rows = [self._row_bytes(row) for row in x]
+            pairs = list(zip(lo, hi))
+            held = [b"".join(sorted((rows[a], rows[b]))) for a, b in pairs]
+            samples.append((rows, pairs, held))
         seeded = hashlib.sha256(struct.pack("<q", self.seed))
 
         def kernel(block):
-            bits = np.zeros((len(block), len(pairs)), dtype=bool)
-            for r, y in enumerate(block):
-                entries = [row + bytes([bit]) for row, bit in zip(rows, y.tolist())]
-                order = sorted(range(n), key=entries.__getitem__)
-                joined = memoryview(b"".join(entries[i] for i in order))
-                offset = [0] * n
-                for place, i in enumerate(order):
-                    offset[i] = place * size
-                for k in np.flatnonzero(y[lows] != y[highs]).tolist():
-                    a, b = sorted((offset[pairs[k][0]], offset[pairs[k][1]]))
-                    digest = seeded.copy()
-                    digest.update(joined[:a])
-                    digest.update(joined[a + size:b])
-                    digest.update(joined[b + size:])
-                    digest.update(held[k])
-                    bits[r, k] = digest.digest()[0] & 1
+            bits = np.zeros(block.shape[:2] + lows.shape[1:], dtype=bool)
+            for r, (rows, pairs, held) in enumerate(samples):
+                for l, y in enumerate(block[r]):
+                    entries = [row + bytes([bit]) for row, bit in zip(rows, y.tolist())]
+                    order = sorted(range(n), key=entries.__getitem__)
+                    joined = memoryview(b"".join(entries[i] for i in order))
+                    offset = [0] * n
+                    for place, i in enumerate(order):
+                        offset[i] = place * size
+                    for k in np.flatnonzero(y[lows[r]] != y[highs[r]]).tolist():
+                        a, b = sorted((offset[pairs[k][0]], offset[pairs[k][1]]))
+                        digest = seeded.copy()
+                        digest.update(joined[:a])
+                        digest.update(joined[a + size:b])
+                        digest.update(joined[b + size:])
+                        digest.update(held[k])
+                        bits[r, l, k] = digest.digest()[0] & 1
             return bits
 
         return kernel
@@ -350,40 +408,51 @@ class RidgeLearner(BatchedLearner):
             raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
         self.name = f"ridge(lambda={self.lam:g})"
 
-    def _pair_rows(self, data: Dataset, lows, highs) -> np.ndarray:
-        """Rows C, zero at each pair, with s_low - s_high = C[k] @ y for pair k."""
-        if data.n < 3:
+    def _pair_rows(self, feats: np.ndarray, lows, highs) -> np.ndarray:
+        """Rows C (R, K, n), zero at each pair, with s_low - s_high = C[r, k] @ y
+        for pair k of stacked sample r."""
+        R, n, d = feats.shape
+        if n < 3:
             raise ValueError(
-                f"ridge needs n >= 3: holding out a pair of n={data.n} rows "
+                f"ridge needs n >= 3: holding out a pair of n={n} rows "
                 "leaves no training rows"
             )
-        Z = np.hstack([data.features, np.ones((data.n, 1))])
-        A_full = Z.T @ Z + np.diag([self.lam] * data.d + [0.0])
-        H = Z @ np.linalg.solve(A_full, Z.T)
-        rest_a, rest_b, h_ab = 1.0 - H[lows, lows], 1.0 - H[highs, highs], H[lows, highs]
+        Z = np.concatenate([feats, np.ones((R, n, 1))], axis=2)
+        Zt = Z.transpose(0, 2, 1)
+        # Per sample, the same BLAS and LAPACK calls as on one (n, d + 1) matrix.
+        H = Z @ np.linalg.solve(Zt @ Z + np.diag([self.lam] * d + [0.0]), Zt)
+        s = np.arange(R)[:, None]
+        rest_a, rest_b, h_ab = 1.0 - H[s, lows, lows], 1.0 - H[s, highs, highs], H[s, lows, highs]
         det = rest_a * rest_b - h_ab * h_ab
         u_a, u_b = (rest_b - h_ab) / det, (h_ab - rest_a) / det
-        C = u_a[:, None] * H[lows] + u_b[:, None] * H[highs]
-        C[np.arange(len(lows)), lows] = 0.0
-        C[np.arange(len(lows)), highs] = 0.0
+        # u_a * H[a] + u_b * H[b], formed in place to hold two (R, K, n) arrays.
+        C = H[s, lows]
+        C *= u_a[..., None]
+        C_b = H[s, highs]
+        C_b *= u_b[..., None]
+        C += C_b
+        k = np.arange(lows.shape[1])
+        C[s, k, lows] = 0.0
+        C[s, k, highs] = 0.0
         return C
 
     def pair_bit(self, data, y, low, high):
-        C = self._pair_rows(data, np.array([low]), np.array([high]))
+        C = self._pair_rows(data.features[None], np.array([[low]]), np.array([[high]]))[0]
         if y.sum() - y[low] - y[high] == data.n - 2:
             return 0  # all training targets 1: the fit is constant and the scores tie
         return int((y * C[0]).sum() > 0)
 
-    def pair_kernel(self, data, lows, highs):
-        C = self._pair_rows(data, lows, highs)
+    def pair_kernel(self, feats, lows, highs):
+        C = self._pair_rows(feats, lows, highs)[:, None]
+        n = feats.shape[1]
 
         def kernel(block):
             # An elementwise product summed along the contiguous last axis: the
             # two labelings of an edge reduce identical terms in the same order.
-            bits = (block[:, None, :] * C[None]).sum(axis=-1) > 0
+            bits = (block[:, :, None, :] * C).sum(axis=-1) > 0
             # With every training target 1 the scores tie exactly; the sum
             # above would only see rounding.
-            return bits & (block.sum(axis=1, keepdims=True) < data.n - 1)
+            return bits & (block.sum(axis=-1, keepdims=True) < n - 1)
 
         return kernel
 
@@ -401,34 +470,46 @@ class KnnLearner(BatchedLearner):
         self.k = int(k)
         self.name = f"knn(k={self.k})"
 
-    def _neighbor_table(self, data: Dataset) -> np.ndarray:
-        """table[i, j] = the k nearest training rows to i when {i, j} is held out."""
-        n, k = data.n, self.k
+    def _neighbor_table(self, feats: np.ndarray) -> np.ndarray:
+        """table[s, i, j] = the k nearest training rows to i of stacked sample s
+        when {i, j} is held out."""
+        R, n, _ = feats.shape
+        k = self.k
         if k > n - 2:
             raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
-        X = data.features
-        sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(sq, axis=1, kind="stable")
-        near = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, : k + 1]
+        diff = feats[:, :, None, :] - feats[:, None, :, :]
+        sq = np.square(diff, out=diff).sum(axis=3)
+        del diff
+        order = np.argsort(sq, axis=2, kind="stable")
+        near = order[order != np.arange(n)[:, None]].reshape(R, n, n - 1)[:, :, : k + 1]
         # Holding out j drops it from i's k+1 nearest; otherwise the first k stay.
-        table = np.repeat(near[:, None, :k], n, axis=1)
+        table = np.repeat(near[:, :, None, :k], n, axis=2)
         skip = np.arange(k) + (np.arange(k) >= np.arange(k + 1)[:, None])
-        table[np.arange(n)[:, None], near] = near[:, skip]
+        table[np.arange(R)[:, None, None], np.arange(n)[:, None], near] = near[:, :, skip]
         return table
 
     def pair_bit(self, data, y, low, high):
-        table = self._neighbor_table(data)
+        table = self._neighbor_table(data.features[None])[0]
         s_low = int(y[table[low, high]].sum())
         s_high = int(y[table[high, low]].sum())
         return int(s_low > s_high)
 
-    def pair_kernel(self, data, lows, highs):
-        table = self._neighbor_table(data)
-        near_low, near_high = table[lows, highs], table[highs, lows]
-        return lambda block: (
-            block[:, near_low].sum(axis=-1, dtype=np.int64)
-            > block[:, near_high].sum(axis=-1, dtype=np.int64)
-        )
+    def pair_kernel(self, feats, lows, highs):
+        table = self._neighbor_table(feats)
+        R, K = lows.shape
+        s = np.arange(R)[:, None]
+        # Neighbor-major, so each vote sum adds k contiguous (R, L, K) slabs.
+        near_low = table[s, lows, highs].transpose(0, 2, 1).reshape(R, -1)
+        near_high = table[s, highs, lows].transpose(0, 2, 1).reshape(R, -1)
+
+        def kernel(block):
+            votes = (R, block.shape[1], self.k, K)
+            return (
+                _at(block, near_low).reshape(votes).sum(axis=2, dtype=np.int64)
+                > _at(block, near_high).reshape(votes).sum(axis=2, dtype=np.int64)
+            )
+
+        return kernel
 
 
 LEARNER_FACTORIES = {

@@ -143,7 +143,8 @@ def orientation_of_learner(
     g = JohnsonGraph(n, w).full_subgraph()
     mat = bit_matrix(list(iter_words(n, w)), n)  # row r is the labeling of rank r
     lows, highs = np.triu_indices(n, 1)
-    errors = np.concatenate([errs for _, errs in pair_errors(learner, data, mat, lows, highs)])
+    stack = (data.features[None], mat[None], lows[None], highs[None])
+    errors = np.concatenate([errs[0] for _, errs in pair_errors(learner, *stack)])
     pair = np.zeros((n, n), dtype=np.int64)
     pair[lows, highs] = np.arange(len(lows))
     r, s = np.array(g.edges).reshape(-1, 2).T

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shlex
@@ -241,6 +242,17 @@ def test_simulate_ridge_without_training_rows(capsys):
     code, _, err = run(capsys, "simulate", "--mode", "null", "--learner",
                        "ridge;lambda=1", "--n", "2", "--w", "1")
     assert code == 1 and "no training rows" in err
+    # The same refusal through the stacked replications.
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", "ridge;lambda=1",
+                         "--n", "2", "--w", "1", "--reps", "3", "--over-samples")
+    assert code == 1 and out == "" and "no training rows" in err, err
+
+
+def test_simulate_knn_without_enough_training_rows(capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "type2", "--learner", "knn;k=11",
+                         "--sizes", "12")
+    assert code == 1 and out == ""
+    assert err == "usage error: k=11 too large for n=12 (train size 10)\n", err
 
 
 @pytest.mark.parametrize(
@@ -316,6 +328,50 @@ def test_exact_l_verification_failure_exits_4(monkeypatch, capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+# sha256 of stdout, recorded before replications were scored as stacks of
+# samples; any drift in a replication's bits changes these.  The ridge null
+# histogram pins every count, where type2 proportions only see counts that
+# cross a critical value.
+REPLICATION_PINS = {
+    "type2-ridge": (
+        ("simulate", "--mode", "type2", "--learner", "ridge;lambda=1", "--scenario",
+         "null-gauss-10d", "--sizes", "4,8,12,16", "--reps", "40", "--seed", "3"),
+        "3bbdda444dc165ddeab33bf3b7d04167ef949444bba1fe89075d268542e29713",
+    ),
+    "type2-knn": (
+        ("simulate", "--mode", "type2", "--learner", "knn;k=3", "--scenario",
+         "nonlinear-3mode", "--sizes", "8,12,16", "--reps", "40", "--seed", "3"),
+        "88afbd4bad4ce8169d4411b412b677c99171f89edda518b0b855ea769423dfa3",
+    ),
+    "parity-over-samples": (
+        ("simulate", "--mode", "null", "--learner", "parity", "--scenario", "parity",
+         "--n", "12", "--w", "6", "--reps", "200", "--over-samples", "--seed", "3"),
+        "7c75a2ff4bbfcb803934ee8cc94b486a27ebd39c88ee1c1f2a21b1e269a4e687",
+    ),
+    "constant-empirical": (
+        ("critical", "--test", "empirical", "--configs", "{configs}", "--max-size", "6",
+         "--reps", "40"),
+        "c0dfbbabe819396b3cc09b40c81fb0a2ffa81cc70603831a83cd287fe262aff3",
+    ),
+    "ridge-null-over-samples": (
+        ("simulate", "--mode", "null", "--learner", "ridge;lambda=1", "--scenario",
+         "null-gauss-10d", "--n", "14", "--w", "6", "--reps", "300", "--over-samples",
+         "--seed", "3"),
+        "db5b10ce66bc57d233ffcec9bae20858926c6ec936c7be69eca0bd0cc3087046",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATION_PINS))
+def test_replication_outputs_are_pinned(name, tmp_path, capsys):
+    configs = tmp_path / "configs.txt"
+    configs.write_text("constant;feature=0;null-mix-1d;3\n")
+    argv, want = REPLICATION_PINS[name]
+    code, out, err = run(capsys, *(a.format(configs=configs) for a in argv))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == want, out
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lightcodes import datagen, experiments
 from lightcodes.datagen import SCENARIOS, InputFormatError, generate_data, load_csv
 from lightcodes.experiments import (
     SimulationConfig,
@@ -14,7 +18,7 @@ from lightcodes.experiments import (
     replicate_error_counts,
     type2_experiment,
 )
-from lightcodes.learners import make_learner
+from lightcodes.learners import Learner, make_learner
 from lightcodes.wilcoxon import wmw_critical
 
 
@@ -200,6 +204,62 @@ def test_replicate_counts_deterministic():
     a = replicate_error_counts(learner, "null-gauss-1d", 8, 4, 20, 3)
     b = replicate_error_counts(learner, "null-gauss-1d", 8, 4, 20, 3)
     assert np.array_equal(a, b)
+
+
+# Scenarios with at least the two columns the parity learner reads.
+TWO_COLUMN_SCENARIOS = sorted(s for s in SCENARIOS if not s.endswith("1d"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_replicate_counts_equal_the_per_pair_loop(draw):
+    name = draw.draw(st.sampled_from(
+        ["constant", "order-direction", "parity", "random-orientation", "ridge", "knn"]))
+    n = draw.draw(st.integers(3, 9))
+    w = draw.draw(st.sampled_from([1, n - 1, n // 2]))
+    spec = {"knn": f"knn;k={draw.draw(st.integers(1, n - 2))}",
+            "random-orientation": "random-orientation;seed=3"}.get(name, name)
+    scenario = draw.draw(st.sampled_from(TWO_COLUMN_SCENARIOS if name == "parity" else SCENARIOS))
+    reps, seed = draw.draw(st.integers(1, 6)), draw.draw(st.integers(0, 2**32 - 1))
+    learner = make_learner(spec)
+    # A small block bound makes the replications cross block boundaries.
+    block = draw.draw(st.sampled_from([1, 50, 400, experiments._SAMPLE_BLOCK_ELEMENTS]))
+    with mock.patch.object(experiments, "_SAMPLE_BLOCK_ELEMENTS", block):
+        got = replicate_error_counts(learner, scenario, n, w, reps, seed)
+        # Replication r does not depend on how many follow it.
+        head = replicate_error_counts(learner, scenario, n, w, reps - 1, seed)
+    samples = [generate_data(scenario, n, w, (seed, n, w, r)) for r in range(reps)]
+    want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
+    assert got.dtype == np.int64 and got.tolist() == want, (spec, scenario, n, w)
+    assert head.tolist() == want[:-1]
+
+
+@pytest.mark.parametrize("label", [False, True])
+def test_csv_scenario_is_read_once_per_cell(label, tmp_path):
+    path = tmp_path / "d.csv"
+    rows = [f"{i * 0.37 % 1:.3f},{(i * 7) % 5}" + (f",{i % 3 == 0:d}" if label else "")
+            for i in range(9)]
+    path.write_text("a,b" + (",label" if label else "") + "\n" + "\n".join(rows) + "\n")
+    scenario, learner = f"csv:{path}", make_learner("order-direction")
+    with mock.patch.object(datagen, "_read_csv", wraps=datagen._read_csv) as read:
+        got = replicate_error_counts(learner, scenario, 9, 3, 12, 5)
+    assert read.call_count == 1
+    samples = [generate_data(scenario, 9, 3, (5, 9, 3, r)) for r in range(12)]
+    want = [learner.error_counts(data, [lab])[0] for data, lab in samples]
+    assert got.tolist() == want
+    assert len(set(want)) == 1 if label else len(set(want)) > 1
+
+
+def test_replicate_counts_check_each_block_is_finite():
+    def nan_sampler(scenario, n, w):
+        return lambda seed: (np.full((n, 1), np.nan), np.arange(n) < w)
+
+    learner = make_learner("constant")
+    with mock.patch.object(experiments, "_sampler", nan_sampler):
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            replicate_error_counts(learner, "null-gauss-1d", 6, 3, 4, 0)
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        datagen.Dataset(np.full((6, 1), np.nan))
 
 
 def test_type2_experiment_basics():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lightcodes import learners
 from lightcodes.datagen import Dataset, generate_data
+from lightcodes.experiments import replicate_error_counts
 from lightcodes.learners import (
     ConstantLearner,
     KnnLearner,
@@ -176,14 +177,15 @@ def test_ridge_pair_rows_match_retrained_oracle(n, d, lam, dups, seed):
     y = rng.permutation(np.arange(n) < w).astype(np.uint8)
     data, learner = Dataset(X), RidgeLearner(lam)
     lows, highs = learners._differing_pairs(y[None])
-    diff = learner._pair_rows(data, lows, highs) @ y
+    diff = learner._pair_rows(X[None], lows, highs)[0] @ y
+    lows, highs = lows[0], highs[0]
     want = np.array([ridge_retrained_difference(X, y, lam, a, b) for a, b in zip(lows, highs)])
     assert np.allclose(diff, want, rtol=0, atol=1e-9), np.abs(diff - want).max()
     # The 1-labeled member is the high one exactly when the canonical bit is 0.
     clear = np.abs(want) > 1e-9
     oracle_errors = (want > 0) == (y[highs] == 1)
-    _, errors = next(learners.pair_errors(learner, data, y[None], lows, highs))
-    assert np.array_equal(errors[0][clear], oracle_errors[clear])
+    _, errors = next(learners.pair_errors(learner, X[None], y[None, None], lows[None], highs[None]))
+    assert np.array_equal(errors[0, 0][clear], oracle_errors[clear])
     count = learner.error_counts(data, [y])[0]
     assert oracle_errors[clear].sum() <= count <= oracle_errors[clear].sum() + (~clear).sum()
 
@@ -230,8 +232,12 @@ def test_knn_separated_clusters():
 def test_knn_too_large_k():
     data = gaussian_data(5, 2, 3)
     lab = Word.from_support(5, (0, 1))
-    with pytest.raises(ValueError):
+    message = r"^k=4 too large for n=5 \(train size 3\)$"
+    with pytest.raises(ValueError, match=message):
         KnnLearner(4).error_counts(data, [lab])
+    # The stacked path of the replication harness raises the same error.
+    with pytest.raises(ValueError, match=message):
+        replicate_error_counts(KnnLearner(4), "null-gauss-10d", 5, 2, 3, 0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -314,8 +320,11 @@ def test_predict_first_validation():
 
 def test_ridge_needs_training_rows():
     data = gaussian_data(2, 1, 0)
-    with pytest.raises(ValueError, match="no training rows"):
+    message = r"^ridge needs n >= 3: holding out a pair of n=2 rows leaves no training rows$"
+    with pytest.raises(ValueError, match=message):
         RidgeLearner(1.0).error_counts(data, [Word.from_string("10")])
+    with pytest.raises(ValueError, match=message):
+        replicate_error_counts(RidgeLearner(1.0), "null-gauss-1d", 2, 1, 3, 0)
 
 
 def test_ridge_constant_training_targets_tie():
@@ -336,7 +345,7 @@ def test_knn_neighbor_table_matches_loop_oracle(k):
     for n in range(k + 2, 41):
         # Few distinct values: duplicate rows and tied distances throughout.
         X = rng.integers(0, 3, (n, 2)).astype(float) if n % 2 else rng.standard_normal((n, 3))
-        table = KnnLearner(k)._neighbor_table(Dataset(X))
+        table = KnnLearner(k)._neighbor_table(X[None])[0]
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(table[off], knn_neighbor_table(X, k)[off]), (k, n)
 
