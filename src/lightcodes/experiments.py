@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .datagen import _check_finite, _sampler
-from .learners import Learner, make_learner, sample_error_counts
+from .learners import Learner, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import critical_value
 from .words import _check_weight
@@ -46,11 +46,11 @@ class SimulationConfig:
 
 # Samples per block are capped so that samples x n x max(pairs, n x d) stays
 # below this: a sample's largest kernel temporaries are the (pairs, n) rows of
-# ridge and knn and knn's (n, n, d) distance tensor, 256 KiB as float64.
-# Past 128 KiB, glibc's default mmap threshold, a temporary is page-faulted in
-# afresh on each block, so at n = 40 two stacked ridge samples cost more than
-# two single ones; smaller blocks lose more on the smaller n of a study.
-_SAMPLE_BLOCK_ELEMENTS = 1 << 15
+# ridge and knn and knn's (n, n, d) distance tensor.  As float64 the cap is
+# 128 KiB, glibc's default mmap threshold; a larger temporary is page-faulted
+# in afresh on each block, so stacking two n = 40 ridge samples past it costs
+# more than scoring them one at a time.
+_SAMPLE_BLOCK_ELEMENTS = 1 << 14
 
 
 def replicate_error_counts(
@@ -73,7 +73,8 @@ def replicate_error_counts(
     for start in range(0, reps, step):
         feats, rows = map(np.stack, zip(*islice(samples, step)))
         _check_finite(feats)
-        out[start:start + len(rows)] = sample_error_counts(learner, feats, rows)
+        counts = stack_error_counts(learner, feats, rows[:, None], *_split_pairs(rows))
+        out[start:start + len(rows)] = counts[:, 0]
     return out
 
 
