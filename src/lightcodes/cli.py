@@ -193,8 +193,6 @@ def cmd_construct(args) -> int:
             raise UsageError("orbit construction is for weight w=2")
         code = codes_mod.construct_orbit(args.n, args.W)
     else:
-        if args.n < 4 * args.W:
-            raise UsageError(f"graham-sloane needs n >= 4W, got n={args.n}, W={args.W}")
         code = codes_mod.construct_graham_sloane(args.n, args.w, args.W)
     ok, witness = codes_mod.verify_light(code)
     if not ok or witness is None:

@@ -21,17 +21,19 @@ from math import comb
 
 import numpy as np
 
-from .words import Word, _check_params, iter_words, neighbor_masks, neighbors, rank, unrank
+from .words import Word, _check_weight, iter_words, neighbor_masks, neighbors, rank, unrank
 
 MATERIALIZE_LIMIT = 10**6
+BYTES_LIMIT = 2**30
 
 
 class ResourceLimitError(RuntimeError):
     """An operation would exceed its documented size limit."""
 
 
-def refuse_over(what: str, amount: int, limit: int, name: str) -> None:
-    """Raise ``ResourceLimitError`` when ``amount`` of ``what`` exceeds ``limit``."""
+def refuse_over(what: str, amount: int, limit: int = BYTES_LIMIT, name: str = "memory") -> None:
+    """Raise ``ResourceLimitError`` when ``amount`` of ``what`` exceeds ``limit``,
+    by default the byte budget of any one array that grows with the sample."""
     if amount > limit:
         raise ResourceLimitError(f"{what} = {amount} exceeds the {name} limit {limit}")
 
@@ -49,7 +51,7 @@ class JohnsonGraph:
     w: int
 
     def __post_init__(self) -> None:
-        _check_params(self.n, self.w)
+        _check_weight(self.n, self.w)
 
     @property
     def num_vertices(self) -> int:

@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .datagen import Dataset
+from .johnson import refuse_over
 from .words import Word
 
 # Rows per kernel block are capped so that samples x rows x pairs x n stays
@@ -70,19 +71,21 @@ def _split_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     share one weight w, as (R, w(n-w)) arrays: every 1 with every 0."""
     R, n = rows.shape
     w = int(rows[0].sum()) if R else 0
+    shape = (R, w * (n - w))
+    refuse_over(f"bytes of the pair lists of {R} row(s) of n={n}", 16 * R * shape[1])
     ones = np.nonzero(rows)[1].reshape(R, w, 1)
     zeros = np.nonzero(rows == 0)[1].reshape(R, 1, n - w)
-    shape = (R, w * (n - w))
     return np.minimum(ones, zeros).reshape(shape), np.maximum(ones, zeros).reshape(shape)
 
 
 def _differing_pairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical pairs labeled differently in at least one row, as (1, K) arrays."""
+    """Canonical pairs to score the rows of ``mat`` on, as (1, K) arrays: a lone
+    row's own pairs, else every pair (one that no row splits adds no error)."""
     if len(mat) == 1:
         return _split_pairs(mat)
-    y = mat.astype(np.float64)
-    split = y.T @ (1.0 - y)  # split[a, b] = rows with a 1 at a and a 0 at b
-    lows, highs = np.nonzero(np.triu(split + split.T, 1))
+    n = mat.shape[1]
+    refuse_over(f"bytes of the pair lists of n={n}", 8 * n * (n - 1))
+    lows, highs = np.triu_indices(n, 1)
     return lows[None], highs[None]
 
 
@@ -296,6 +299,7 @@ class OrderDirectionLearner(BatchedLearner):
 
     def pair_kernel(self, feats, lows, highs):
         f = _feature_column(feats, self.feature)
+        refuse_over(f"bytes of the sign matrices at n={f.shape[1]}", 8 * f.size * f.shape[1])
         # sign[s, r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
         # concordant / discordant pair of sample s.
         sign = (f[:, :, None] > f[:, None, :]).astype(np.int64) - (f[:, :, None] < f[:, None, :])
@@ -415,6 +419,7 @@ class RidgeLearner(BatchedLearner):
                 f"ridge needs n >= 3: holding out a pair of n={n} rows "
                 "leaves no training rows"
             )
+        refuse_over(f"bytes of ridge's pair rows at n={n}", 8 * R * n * max(lows.shape[1], n))
         Z = np.concatenate([feats, np.ones((R, n, 1))], axis=2)
         Zt = Z.transpose(0, 2, 1)
         # Per sample, the same BLAS and LAPACK calls as on one (n, d + 1) matrix.
@@ -471,10 +476,11 @@ class KnnLearner(BatchedLearner):
     def _neighbor_table(self, feats: np.ndarray) -> np.ndarray:
         """table[s, i, j] = the k nearest training rows to i of stacked sample s
         when {i, j} is held out."""
-        R, n, _ = feats.shape
+        R, n, d = feats.shape
         k = self.k
         if k > n - 2:
             raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
+        refuse_over(f"bytes of the knn neighbor tables at n={n}", 8 * R * n * n * max(d, k))
         diff = feats[:, :, None, :] - feats[:, None, :, :]
         sq = np.square(diff, out=diff).sum(axis=3)
         del diff

@@ -19,7 +19,7 @@ from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, refuse_over
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
-from .words import Word, _check_params, _check_weight, iter_words
+from .words import Word, _check_weight, iter_words
 
 EXACT_NULL_LIMIT = 10**6
 MC_EXACT_THRESHOLD = 10**5
@@ -49,7 +49,8 @@ def histogram_from_errors(errors, n: int, w: int) -> EmpiricalNull:
 
 def _labeling_blocks(n: int, w: int):
     """Every labeling of S(n,w) once, as (rows, n) uint8 blocks."""
-    _check_params(n, w)
+    _check_weight(n, w)
+    refuse_over(f"bytes of a block of S({n},{w})", min(comb(n, w), _ENUM_BLOCK_ROWS) * n)
     supports = combinations(range(n), w)
     while True:
         chunk = list(chain.from_iterable(islice(supports, _ENUM_BLOCK_ROWS)))
@@ -81,6 +82,7 @@ def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
     _check_weight(n, w)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    refuse_over(f"bytes of {count} labelings of n={n}", count * n)
     out = np.zeros((count, n), dtype=np.uint8)
     out[:, :w] = 1
     for b, start in enumerate(range(0, count, _ENUM_BLOCK_ROWS)):
@@ -141,6 +143,8 @@ def orientation_of_learner(
     """
     n = data.n
     g = JohnsonGraph(n, w).full_subgraph()
+    # The (edges, n) temporaries below outgrow the (labelings, pairs) errors.
+    refuse_over(f"bytes of the edge table of J({n},{w})", len(g.edges) * n)
     mat = bit_matrix(list(iter_words(n, w)), n)  # row r is the labeling of rank r
     lows, highs = np.triu_indices(n, 1)
     stack = (data.features[None], mat[None], lows[None], highs[None])

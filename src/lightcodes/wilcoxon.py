@@ -21,13 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .johnson import refuse_over
+from .johnson import BYTES_LIMIT, refuse_over
 from .words import _check_weight
 
 _q_memo: dict = {}  # always empty; bench/child.py still reports its size
-
-# Largest packed row, in bytes, that wmw_critical_grid will allocate.
-GRID_BYTES_LIMIT = 2**30
 
 
 def as_fraction(alpha) -> Fraction:
@@ -220,7 +217,7 @@ def wmw_critical_grid(alpha, max_size: int) -> dict[tuple[int, int], int | None]
     multiplying by q^w and truncating is a right shift, and the digits a
     cell's critical value needs are the high end of its series.  Raises
     ResourceLimitError before allocating when the packed series would
-    exceed GRID_BYTES_LIMIT.
+    exceed ``johnson.BYTES_LIMIT``.
     """
     a = _check_alpha(alpha)
     if max_size < 1:
@@ -229,7 +226,7 @@ def wmw_critical_grid(alpha, max_size: int) -> dict[tuple[int, int], int | None]
     width = max_size // 4 + 1
     estimate = (max_size + 1) * (K + 1) * width
     refuse_over(f"packed bytes of the WMW grid up to size {max_size}", estimate,
-                GRID_BYTES_LIMIT, "grid")
+                BYTES_LIMIT, "grid")
     b = 8 * width
     ones = ((1 << b * (K + 1)) - 1) // ((1 << b) - 1)  # 1/(1 - q): every digit 1
     row = [ones] * (max_size + 1)

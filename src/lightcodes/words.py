@@ -15,19 +15,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-MAX_LENGTH = 64
-
 
 def _check_weight(n: int, w: int) -> None:
     """The (n, w) domain of every layer: both classes of S(n,w) nonempty."""
     if not 0 < w < n:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
-
-
-def _check_params(n: int, w: int) -> None:
-    _check_weight(n, w)
-    if n > MAX_LENGTH:
-        raise ValueError(f"word length {n} exceeds supported maximum {MAX_LENGTH}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +31,7 @@ class Word:
     w: int
 
     def __post_init__(self) -> None:
-        _check_params(self.n, self.w)
+        _check_weight(self.n, self.w)
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError(f"mask {self.mask:#x} does not fit in {self.n} bits")
         if self.mask.bit_count() != self.w:
@@ -102,7 +94,7 @@ def iter_words(n: int, w: int) -> Iterator[Word]:
     masks, so a word's position in this sequence is its rank and the
     successor is Gosper's hack.
     """
-    _check_params(n, w)
+    _check_weight(n, w)
     mask = (1 << w) - 1
     limit = 1 << n
     while mask < limit:
@@ -128,7 +120,7 @@ def rank(word: Word) -> int:
 
 def unrank(n: int, w: int, r: int) -> Word:
     """Inverse of :func:`rank`: the word of S(n,w) at position ``r``."""
-    _check_params(n, w)
+    _check_weight(n, w)
     total = comb(n, w)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range [0, {total})")

@@ -238,6 +238,23 @@ def test_simulate_rejects_bad_feature_index(learner, message, capsys):
     assert code == 1 and out == "" and "usage error" in err and message in err, err
 
 
+def test_simulate_null_past_64_rows(capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", "knn;k=3",
+                         "--n", "100", "--w", "50", "--permutations", "3")
+    assert code == 0, err
+    counts = [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert len(counts) == 50 * 50 + 1 and sum(counts) == 3
+
+
+@pytest.mark.parametrize("extra", [("--permutations", "3"), ("--over-samples", "--reps", "1")])
+def test_simulate_refused_by_bytes_exits_3(extra, capsys):
+    # Ridge's (pairs, n) rows at n = 1300 would take 4.4 GB for one labeling's
+    # pairs and 8.8 GB for every pair.
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", "ridge;lambda=1",
+                         "--n", "1300", "--w", "650", *extra)
+    assert code == 3 and out == "" and "bytes of ridge's pair rows" in err, err
+
+
 def test_simulate_ridge_without_training_rows(capsys):
     code, _, err = run(capsys, "simulate", "--mode", "null", "--learner",
                        "ridge;lambda=1", "--n", "2", "--w", "1")

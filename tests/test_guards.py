@@ -1,13 +1,14 @@
 """Each input decision lives in one function: the (n, w) domain, W >= 0, size refusals."""
 
 import re
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lightcodes import bounds, codes, datagen, experiments, johnson, wilcoxon
+from lightcodes import bounds, codes, datagen, experiments, johnson, learners, lpocv, wilcoxon, words
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lightcodes"
 
@@ -77,6 +78,48 @@ def test_domain_callers_have_no_word_length_cap():
     assert codes.johnson_upper(80, 40, 0) >= 1
     assert bounds.gs_lower(80, 40, 0) == -(comb(80, 40) // -80)
     assert wilcoxon.q_count(2, 80, 40) == 4
+    first = words.Word((1 << 50) - 1, 100, 50)
+    assert next(words.iter_words(100, 50)) == first
+    for r in (0, comb(100, 50) // 3, comb(100, 50) - 1):
+        assert words.rank(words.unrank(100, 50, r)) == r
+    assert words.unrank(100, 50, comb(100, 50) - 1).mask == first.mask << 50
+    assert johnson.JohnsonGraph(100, 2).num_edges == comb(100, 2) * 2 * 98 // 2
+    data = datagen.Dataset(np.random.default_rng(0).standard_normal((100, 1)))
+    null = lpocv.exact_null_distribution(learners.ConstantLearner(), data, 1)
+    assert null == wilcoxon.wmw_distribution(100, 1)
+
+
+# Arrays that grow faster than n*d, each just past the byte budget; every
+# input here takes a few MB at most.
+BYTE_REFUSALS = {
+    "one row's pairs": lambda: learners._split_pairs((np.arange(16400) < 8200)[None]),
+    "several rows' pairs": lambda: learners._differing_pairs(np.zeros((2, 11600), np.uint8)),
+    "order-direction signs": lambda: learners.OrderDirectionLearner().pair_kernel(
+        np.zeros((1, 11600, 1)), np.zeros((1, 1), int), np.ones((1, 1), int)
+    ),
+    "ridge pair rows": lambda: learners.RidgeLearner().error_counts(
+        datagen.Dataset(np.zeros((1300, 1))), np.arange(1300) < 650
+    ),
+    "knn neighbor table": lambda: learners.KnnLearner(3).pair_kernel(
+        np.zeros((1, 3700, 10)), np.zeros((1, 1), int), np.ones((1, 1), int)
+    ),
+    "sampled labelings": lambda: lpocv.sample_labelings(1100, 1, 10**6, 0),
+    "exact-null labeling blocks": lambda: lpocv.exact_null_distribution(
+        learners.ConstantLearner(), datagen.Dataset(np.zeros((300000, 1))), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BYTE_REFUSALS))
+def test_sizes_refused_by_bytes_before_allocating(what):
+    tracemalloc.start()
+    try:
+        with pytest.raises(johnson.ResourceLimitError, match="exceeds the memory limit 1073741824"):
+            BYTE_REFUSALS[what]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 25
 
 
 def test_refuse_over_names_amount_and_limit():

@@ -270,17 +270,17 @@ def test_constant_rows_have_no_errors_on_both_paths(spec):
         assert Learner.error_counts(learner, data, row).tolist() == [0]
 
 
-def test_paths_agree_on_a_row_using_the_last_of_64_positions():
+@pytest.mark.parametrize("n", [64, 65, 100])
+def test_paths_agree_on_a_row_using_the_last_position(n):
     # Word.from_support takes numpy positions; at position 63 a numpy shift
-    # would overflow the int64 mask.
-    n = 64
+    # would overflow the int64 mask, and no word length is capped.
     data = gaussian_data(n, 1, 64)
     row = np.zeros(n, dtype=np.uint8)
     row[[0, n - 1]] = 1
     learner = ConstantLearner()
     batch = learner.error_counts(data, row)
     assert np.array_equal(batch, Learner.error_counts(learner, data, row))
-    assert Word.from_support(n, np.flatnonzero(row)).mask == 1 | 1 << 63
+    assert Word.from_support(n, np.flatnonzero(row)).mask == 1 | 1 << n - 1
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

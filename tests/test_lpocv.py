@@ -311,6 +311,11 @@ def test_orientation_of_learner_refuses_before_predicting(monkeypatch):
     data = Dataset(np.zeros((18, 1)))
     with pytest.raises(ResourceLimitError, match="1969110"):
         orientation_of_learner(ConstantLearner(feature=0), data, 9)
+    # J(1300,1) has 844,350 edges, within that limit, but its (edges, n)
+    # position table would take 1.1 GB.
+    data = Dataset(np.zeros((1300, 1)))
+    with pytest.raises(ResourceLimitError, match=r"bytes of the edge table of J\(1300,1\)"):
+        orientation_of_learner(ConstantLearner(feature=0), data, 1)
 
 
 def test_histogram_helpers():

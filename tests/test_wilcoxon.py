@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lightcodes.johnson import ResourceLimitError
+from lightcodes.johnson import BYTES_LIMIT, ResourceLimitError
 from lightcodes.lpocv import EmpiricalNull
 from lightcodes.wilcoxon import (
-    GRID_BYTES_LIMIT,
     NullDistribution,
     _cumulative_counts,
     critical_value,
@@ -226,7 +225,7 @@ def test_grid_rejects_alpha_like_critical_value(alpha):
 def test_grid_refuses_oversized_before_allocating():
     size = 10**6
     estimate = (size + 1) * (size * size // 2 + 1) * (size // 4 + 1)
-    assert estimate > GRID_BYTES_LIMIT
+    assert estimate > BYTES_LIMIT
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=str(estimate)):
