@@ -2,12 +2,13 @@
 
 Exact values are known in closed form at the weight boundary (w or n-w in
 {1,2}); elsewhere the column double-counting recursion gives an upper
-bound and the tau-residue pigeonhole a lower bound.  Critical values
-derived from these bounds mirror the Wilcoxon critical tables: only the
-upper-bound variant yields a valid p-value in the worst-case sense, so
-both variants are emitted explicitly labeled.  ``boundary_exact`` and
-``johnson_upper`` are defined in ``codes``, whose exact search stops at
-the upper bound, and re-exported here.
+bound and the largest tau residue class, sized from the WMW series by
+``codes.tau_class_sizes``, a lower bound (``gs_lower``: its pigeonhole
+bound).  Critical values derived from these bounds mirror the Wilcoxon
+critical tables: only the upper-bound variant yields a valid p-value in
+the worst-case sense, so both variants are emitted explicitly labeled.
+``boundary_exact`` and ``johnson_upper`` are defined in ``codes``, whose
+exact search stops at the upper bound, and re-exported here.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .codes import (EXACT_SEARCH_LIMIT, GS_CLASS_ENUM_LIMIT, boundary_exact, exact_L,
-                    johnson_upper, tau_classes)
+from .codes import EXACT_SEARCH_LIMIT, boundary_exact, exact_L, johnson_upper, tau_class_sizes
 from .johnson import _check_lightness
-from .wilcoxon import critical_value
+from .wilcoxon import critical_value, wmw_distribution
 from .words import _check_weight
 
 BOUND_KINDS = ("lower", "upper", "exact")
@@ -54,10 +54,9 @@ def assemble_table(
 ) -> list[BoundRecord]:
     """Bound records for every valid (n, w, W) in the given ranges.
 
-    The lower bound is the best construction size available (largest tau
-    class when enumerable, else its pigeonhole bound, else 1); exact
-    values come from the closed forms, or from the exhaustive search when
-    requested and C(n,w) <= 24.
+    The lower bound is the largest tau class when n >= 4W, else 1, from one
+    WMW series per (n, w): about n^4 work, 6 s at (400,200).  Exact values
+    come from the closed forms, or from the search when asked and C(n,w) <= 24.
     """
     for W in W_range:
         _check_lightness(W)
@@ -66,13 +65,12 @@ def assemble_table(
         for w in w_range:
             if not 0 < w < n:
                 continue
+            counts = None
             for W in W_range:
                 lower = 1
                 if n >= 4 * W:
-                    if comb(n, w) <= GS_CLASS_ENUM_LIMIT:
-                        lower = max(len(c) for c in tau_classes(n, w, W))
-                    else:
-                        lower = gs_lower(n, w, W)
+                    counts = counts or wmw_distribution(n, w).counts
+                    lower = max(tau_class_sizes(n, w, W, counts))
                 exact = boundary_exact(n, w, W)
                 if exact is None and exact_when_small and comb(n, w) <= EXACT_SEARCH_LIMIT:
                     exact = exact_L(n, w, W)

@@ -78,20 +78,13 @@ def _sample_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _out_stream(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
-
-
 def _emit(path, lines) -> None:
-    stream, close = _out_stream(path)
-    try:
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if close:
-            stream.close()
+    text = (line + "\n" for line in lines)
+    if path is None or path == "-":
+        sys.stdout.writelines(text)
+    else:
+        with open(path, "w", encoding="ascii", newline="") as stream:
+            stream.writelines(text)
 
 
 def _grid_lines(cells: dict, max_size: int) -> list[str]:
@@ -256,8 +249,6 @@ def cmd_simulate(args) -> int:
     if args.scenario not in SCENARIOS and not args.scenario.startswith("csv:"):
         raise UsageError(f"unknown scenario {args.scenario!r}")
     if args.mode == "null":
-        if not 0 < args.w < args.n:
-            raise UsageError(f"need 0 < w < n, got n={args.n}, w={args.w}")
         lines = _simulate_null(args, learner)
     else:
         lines = _simulate_type2(args, learner)
@@ -352,18 +343,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputFormatError as exc:
+    except (InputFormatError, OSError) as exc:  # InputFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

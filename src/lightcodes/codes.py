@@ -28,14 +28,12 @@ from .johnson import (
     orientation_feasible,
     refuse_over,
 )
+from .wilcoxon import wmw_distribution
 from .words import Word, _check_weight, enumerate_words, iter_words, rank
 
 # C(7,3) = 35, the next size up, takes about 0.5 s at W = 1, 9 s at W = 5 and
 # 145 s at W = 2; W = 3, 4 did not finish in 300 s (2-core VM, Python 3.11).
 EXACT_SEARCH_LIMIT = 24
-
-# Largest C(n,w) whose tau classes are enumerated for constructions and bound tables.
-GS_CLASS_ENUM_LIMIT = 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,24 +136,35 @@ def construct_orbit(n: int, W: int) -> LightCode:
     return _with_euler_witness(n, 2, W, words)
 
 
+def _tau_modulus(n: int, W: int) -> int:
+    if n - 2 * W < 1:
+        raise ValueError(f"modulus n - 2W = {n - 2 * W} must be positive")
+    return n - 2 * W
+
+
 def tau(word: Word, W: int) -> int:
     """Position-weighted sum sum_i i*B_i (1-based) mod (n - 2W)."""
-    modulus = word.n - 2 * W
-    if modulus < 1:
-        raise ValueError(f"modulus n - 2W = {modulus} must be positive")
-    return sum(i + 1 for i in word.support()) % modulus
+    return sum(i + 1 for i in word.support()) % _tau_modulus(word.n, W)
 
 
 def tau_classes(n: int, w: int, W: int) -> list[list[Word]]:
     """Partition of S(n,w) by the tau residue; index = residue class."""
-    modulus = n - 2 * W
-    if modulus < 1:
-        raise ValueError(f"modulus n - 2W = {modulus} must be positive")
+    classes: list[list[Word]] = [[] for _ in range(_tau_modulus(n, W))]
     refuse_over(f"C({n},{w})", comb(n, w), MATERIALIZE_LIMIT, "materialization")
-    classes: list[list[Word]] = [[] for _ in range(modulus)]
     for word in enumerate_words(n, w):
         classes[tau(word, W)].append(word)
     return classes
+
+
+def tau_class_sizes(n: int, w: int, W: int, counts=None) -> list[int]:
+    """Sizes of the tau classes by residue, listing no word.
+
+    Over the w-subsets S of {1..n}, sum_S q^(sum S) = q^(w(w+1)/2) [n choose w]_q.
+    The Gaussian binomial's coefficients are the WMW null ``counts``, so shifted
+    by w(w+1)/2 and folded mod n - 2W they count each class.
+    """
+    modulus, counts = _tau_modulus(n, W), counts or wmw_distribution(n, w).counts
+    return [sum(counts[(r - w * (w + 1) // 2) % modulus::modulus]) for r in range(modulus)]
 
 
 def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
@@ -169,9 +178,10 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
     _check_lightness(W)
     if n < 4 * W:
         raise ValueError(f"Graham-Sloane construction needs n >= 4W, got n={n}, W={W}")
-    classes = tau_classes(n, w, W)
-    best = max(range(len(classes)), key=lambda i: len(classes[i]))
-    return _with_euler_witness(n, w, W, classes[best])
+    refuse_over(f"C({n},{w})", comb(n, w), MATERIALIZE_LIMIT, "materialization")
+    sizes = tau_class_sizes(n, w, W)
+    best = sizes.index(max(sizes))
+    return _with_euler_witness(n, w, W, [word for word in iter_words(n, w) if tau(word, W) == best])
 
 
 def best_construction(n: int, w: int, W: int) -> LightCode:
@@ -185,7 +195,7 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
         base = construct_tournament(n, W) if n - w == 1 else construct_orbit(n, W)
         flipped = [word.complement() for word in base.words]
         candidates.append(_with_euler_witness(n, w, W, flipped))
-    if n >= 4 * W and comb(n, w) <= GS_CLASS_ENUM_LIMIT:
+    if n >= 4 * W and comb(n, w) <= MATERIALIZE_LIMIT:
         candidates.append(construct_graham_sloane(n, w, W))
     if not candidates:
         candidates.append(LightCode(n, w, W, (Word((1 << w) - 1, n, w),), None))
@@ -205,7 +215,10 @@ def boundary_exact(n: int, w: int, W: int) -> int | None:
 
 @cache
 def johnson_upper(n: int, w: int, W: int) -> int:
-    """Recursive upper bound on L(W,n,w), anchored at the closed forms."""
+    """Recursive upper bound on L(W,n,w), anchored at the closed forms.
+
+    Rows that are multiples of 64 first fill the cache 64 rows down, so the
+    recursion, one row per call, stays about 128 + n/64 calls deep."""
     _check_weight(n, w)
     _check_lightness(W)
     if w > n - w:
@@ -215,6 +228,9 @@ def johnson_upper(n: int, w: int, W: int) -> int:
     exact = boundary_exact(n, w, W)
     if exact is not None:
         return exact
+    if n % 64 == 0:
+        for v in range(max(1, w - 64), min(w, n - 65) + 1):
+            johnson_upper(n - 64, v, W)
     jb1 = johnson_upper(n - 1, w - 1, W) * n // w
     jb2 = johnson_upper(n - 1, w, W) * n // (n - w)
     return min(jb1, jb2, comb(n, w))

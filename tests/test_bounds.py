@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lightcodes import codes
 from lightcodes.bounds import (
     BoundRecord,
     assemble_table,
@@ -12,7 +13,7 @@ from lightcodes.bounds import (
     johnson_upper,
     lightcode_critical,
 )
-from lightcodes.codes import EXACT_SEARCH_LIMIT, exact_L
+from lightcodes.codes import EXACT_SEARCH_LIMIT, exact_L, tau_class_sizes
 from lightcodes.johnson import ResourceLimitError
 from lightcodes.wilcoxon import q_count, wmw_critical
 
@@ -39,6 +40,49 @@ def test_johnson_upper_monotone_in_W():
             cur = johnson_upper(n, w, W)
             assert cur >= prev
             prev = cur
+
+
+def bottom_up_johnson_upper(n: int, w: int, W: int) -> int:
+    """The recursion of ``johnson_upper``, filled row by row from n = 2 with
+    no recursion; rows hold the weights v <= min(w, m/2) after complement."""
+    w = min(w, n - w)
+    table: dict[tuple[int, int], int] = {}
+
+    def get(m, v):
+        return table[m, min(v, m - v)]
+
+    for m in range(2, n + 1):
+        for v in range(1, min(w, m // 2) + 1):
+            if W >= v * (m - v):
+                table[m, v] = comb(m, v)
+            elif v == 1:
+                table[m, v] = min(2 * W + 1, m)
+            elif v == 2:
+                table[m, v] = min((W + 1) * m // 2, comb(m, 2))
+            else:
+                table[m, v] = min(get(m - 1, v - 1) * m // v, get(m - 1, v) * m // (m - v),
+                                  comb(m, v))
+    return get(n, w)
+
+
+def test_johnson_upper_matches_the_bottom_up_recursion():
+    for n in range(2, 30):
+        for w in range(1, n):
+            for W in range(4):
+                assert johnson_upper(n, w, W) == bottom_up_johnson_upper(n, w, W), (n, w, W)
+
+
+@pytest.mark.parametrize(
+    "n, w, W", [(1200, 3, 1), (1200, 1197, 1), (2000, 5, 2), (129, 64, 2), (200, 100, 1)]
+)
+def test_johnson_upper_recursion_stays_shallow(n, w, W):
+    assert johnson_upper(n, w, W) == bottom_up_johnson_upper(n, w, W)
+
+
+def test_lightcode_critical_upper_at_large_n():
+    crit = lightcode_critical(0.05, 1200, 3, "upper")
+    assert crit is not None
+    assert Fraction(bottom_up_johnson_upper(1200, 3, crit), comb(1200, 3)) < Fraction(1, 20)
 
 
 def test_gs_lower():
@@ -73,6 +117,22 @@ def test_assemble_table():
     assert by_key[(6, 3, 0)].exact is None
     with pytest.raises(ValueError, match="nonnegative"):
         assemble_table([4], [2], range(-1, 1))
+
+
+def test_assemble_table_lower_is_the_largest_class_past_enumeration():
+    # The pigeonhole bound ceil(C(20,10)/20) is 9,238; the largest class holds 9,252.
+    assert assemble_table([20], [10], [0])[0].lower == 9252
+    assert assemble_table([20], [8], [0])[0].lower == 6310
+
+
+def test_assemble_table_enumerates_nothing(monkeypatch):
+    def never(n, w):
+        raise AssertionError(f"enumerated S({n},{w})")
+
+    monkeypatch.setattr(codes, "iter_words", never)
+    monkeypatch.setattr(codes, "enumerate_words", never)
+    (record,) = assemble_table([40], [20], [2])
+    assert record.lower == max(tau_class_sizes(40, 20, 2)) >= gs_lower(40, 20, 2)
 
 
 def test_assemble_table_exact_when_small():

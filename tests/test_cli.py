@@ -381,6 +381,49 @@ REPLICATION_PINS = {
 }
 
 
+# sha256 of the bound tables' stdout and of the Graham-Sloane code and witness
+# files, recorded while the tables still enumerated the tau classes; the
+# second table is demos/out/bound_table.csv.
+TABLE_PINS = {
+    "bounds-small": (
+        ("bounds", "--n-range", "3..6", "--w-range", "1..3", "--W-range", "0..2",
+         "--exact-when-small"),
+        {"stdout": "d6770c2d516800f08f4051fab6925e69641b985742ab59582ebae5c539ae51e1"},
+    ),
+    "bounds-demo-table": (
+        ("bounds", "--n-range", "6..8", "--w-range", "3", "--W-range", "0..2",
+         "--exact-when-small"),
+        {"stdout": "4a9f679572c17950d4022732dafcd16c63a73bc20ee73f4b9d4bf29fa2bf6a14"},
+    ),
+    "construct-graham-sloane": (
+        ("construct", "--method", "graham-sloane", "--n", "18", "--w", "6", "--W", "3",
+         "--out", "{dir}/code.txt", "--witness", "{dir}/witness.txt"),
+        {"code.txt": "1b43e5c9208bb583a968e6a532811524dec1c2c53f8ff0f9435aebdd668ceaf6",
+         "witness.txt": "f393a6149484084fb5906c47700f925525a37c61955a6a89ef5fea903d25b2d8"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PINS))
+def test_table_outputs_are_pinned(name, tmp_path, capsys):
+    argv, want = TABLE_PINS[name]
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 0, err
+    got = {
+        key: hashlib.sha256(out.encode() if key == "stdout" else (tmp_path / key).read_bytes())
+        .hexdigest()
+        for key in want
+    }
+    assert got == want
+
+
+def test_bounds_at_large_n(capsys):
+    code, out, err = run(capsys, "bounds", "--n-range", "1200", "--w-range", "3",
+                         "--W-range", "1")
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("1200,3,1,")
+
+
 @pytest.mark.parametrize("name", sorted(REPLICATION_PINS))
 def test_replication_outputs_are_pinned(name, tmp_path, capsys):
     configs = tmp_path / "configs.txt"

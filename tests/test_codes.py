@@ -15,6 +15,7 @@ from lightcodes.codes import (
     construct_tournament,
     exact_L,
     tau,
+    tau_class_sizes,
     tau_classes,
     verify_light,
 )
@@ -156,6 +157,27 @@ def test_tau_classes_refuse_past_the_materialization_limit(monkeypatch):
     assert sum(map(len, tau_classes(8, 3, 1))) == comb(8, 3)
     with pytest.raises(ResourceLimitError):
         tau_classes(9, 3, 1)
+
+
+def _enumerable(max_words: int):
+    """(n, w, W) with n <= 16, C(n,w) <= ``max_words`` and n >= 4W."""
+    return st.tuples(st.integers(2, 16), st.integers(1, 15), st.integers(0, 4)).filter(
+        lambda t: t[1] < t[0] and comb(t[0], t[1]) <= max_words and t[0] >= 4 * t[2]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_enumerable(20_000))
+def test_tau_class_sizes_count_the_enumerated_classes(instance):
+    assert tau_class_sizes(*instance) == [len(c) for c in tau_classes(*instance)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_enumerable(2_000))
+def test_graham_sloane_lists_the_largest_enumerated_class(instance):
+    classes = tau_classes(*instance)
+    largest = max(classes, key=len)  # the first largest: the smallest residue
+    assert construct_graham_sloane(*instance).words == tuple(largest)
 
 
 def test_best_construction_falls_back_to_one_word_without_enumerating(monkeypatch):

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lightcodes"
 
 ONE_RAISE_EACH = {
     "size refusal": r"raise ResourceLimitError\b",
-    "(n, w) domain": r"raise ValueError\(f\"need 0 < w < n",
+    "(n, w) domain": r"raise \w+\(f\"need 0 < w < n",
     "W >= 0": r"raise ValueError\(\"[^\"]*W must be nonnegative",
 }
 
