@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
@@ -230,11 +231,31 @@ def _simulate_null(args, learner) -> list[str]:
     return lines
 
 
+class _WmwCells(Mapping):
+    """WMW critical values of the balanced cells of ``sizes``, each computed
+    when it is looked up."""
+
+    def __init__(self, alpha, sizes):
+        self._alpha = alpha
+        self._cells = {(size // 2, size - size // 2) for size in sizes}
+
+    def __contains__(self, cell):
+        return cell in self._cells
+
+    def __getitem__(self, cell):
+        if cell not in self._cells:
+            raise KeyError(cell)
+        return wmw_critical(self._alpha, sum(cell), cell[0])
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self):
+        return len(self._cells)
+
+
 def _simulate_type2(args, learner) -> list[str]:
-    table = {}
-    for size in args.sizes:
-        w = size // 2
-        table[(w, size - w)] = wmw_critical(args.alpha, size, w)
+    table = _WmwCells(args.alpha, args.sizes)
     results = type2_experiment(learner, args.scenario, args.sizes, table, args.reps, args.seed)
     lines = ["size,failure_proportion"]
     lines += [f"{size},{float(frac)!r}" for size, frac in results.items()]

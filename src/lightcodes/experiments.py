@@ -11,6 +11,7 @@ results are independent of execution order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -123,7 +124,7 @@ def type2_experiment(
     learner: Learner,
     scenario: str,
     sizes,
-    alpha_table: dict[tuple[int, int], int | None],
+    alpha_table: Mapping[tuple[int, int], int | None],
     reps: int,
     seed,
 ) -> dict[int, Fraction]:
@@ -131,20 +132,24 @@ def type2_experiment(
 
     Sizes must be even (the classes are balanced); a replication fails
     when its error count exceeds the cell's critical value, or always
-    when the cell is empty.
+    when the cell is empty.  Every size and cell is checked before any
+    scoring, and a size's critical value is read only after its
+    replications are scored, so a table that computes its values on lookup
+    computes none for a size whose scoring is refused.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    results: dict[int, Fraction] = {}
     for size in sizes:
         if size % 2 != 0:
             raise ValueError(f"sample size {size} must be even")
-        w = size // 2
-        cell = (w, size - w)
+        cell = (size // 2, size - size // 2)
         if cell not in alpha_table:
             raise ValueError(f"no critical value for cell {cell}")
-        crit = alpha_table[cell]
+    results: dict[int, Fraction] = {}
+    for size in sizes:
+        w = size // 2
         errors = replicate_error_counts(learner, scenario, size, w, reps, seed)
+        crit = alpha_table[(w, size - w)]
         if crit is None:
             failures = reps
         else:

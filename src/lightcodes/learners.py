@@ -38,7 +38,8 @@ from .johnson import refuse_over
 from .words import Word
 
 # Rows per kernel block are capped so that samples x rows x pairs x n stays
-# below this, which bounds ridge's per-block float temporary at 1 MiB.
+# below this.  That bounds knn's per-block vote gathers (k < n terms per
+# pair) and ridge's rounding-band recount (n float terms per entry) at 1 MiB.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -402,6 +403,14 @@ class RidgeLearner(BatchedLearner):
     s_a - s_b = u_S^T H[S, :] y over the training rows, u_S = (I - H_SS)^-1 (1, -1),
     a 2x2 closed form whose determinant det(A_S) / det(A) is positive for
     n >= 3 (leave-pair-out, Pahikkala et al. 2008).
+
+    The kernel scores a block of labelings as one BLAS product Y C^T and
+    trusts its sign outside the band |s| <= 4 n eps sum_i |C_i|.  The terms
+    y_i C_i are exact, and any summation order of them lands within
+    gamma_(n-1) sum_i |C_i| < half the band of the true sum (Higham 2002,
+    sections 3.1 and 4.2), so outside the band every order, ``pair_bit``'s
+    included, has the same sign.  Entries inside it are summed as
+    ``pair_bit`` sums them, so the bits equal ``pair_bit``'s exactly.
     """
 
     def __init__(self, lam: float = 1.0):
@@ -446,16 +455,26 @@ class RidgeLearner(BatchedLearner):
         return int((y * C[0]).sum() > 0)
 
     def pair_kernel(self, feats, lows, highs):
-        C = self._pair_rows(feats, lows, highs)[:, None]
+        C = self._pair_rows(feats, lows, highs)
         n = feats.shape[1]
+        C_t = C.transpose(0, 2, 1)
+        # Over twice gamma_(n-1) sum |C| even after its own rounding, so outside
+        # it every summation order has the sign of the true sum.
+        band = (4 * n * np.finfo(np.float64).eps) * np.abs(C).sum(axis=-1)[:, None]
 
         def kernel(block):
-            # An elementwise product summed along the contiguous last axis: the
-            # two labelings of an edge reduce identical terms in the same order.
-            bits = (block[:, :, None, :] * C).sum(axis=-1) > 0
-            # With every training target 1 the scores tie exactly; the sum
+            s = block.astype(np.float64) @ C_t
+            # Inside the band (or not finite), an entry is recounted as pair_bit
+            # counts it: an elementwise product summed along the contiguous last
+            # axis, so the two labelings of an edge reduce identical terms in
+            # the same order.
+            near = ~(np.abs(s) > band)
+            if near.any():
+                r, l, k = np.nonzero(near)
+                s[r, l, k] = (block[r, l] * C[r, k]).sum(axis=-1)
+            # With every training target 1 the scores tie exactly; the sums
             # above would only see rounding.
-            return bits & (block.sum(axis=-1, keepdims=True) < n - 1)
+            return (s > 0) & (block.sum(axis=-1, keepdims=True) < n - 1)
 
         return kernel
 

@@ -110,3 +110,14 @@ def ridge_retrained_difference(X, y, lam: float, a: int, b: int) -> float:
     target = np.concatenate([np.asarray(y, dtype=float)[train], np.zeros(d)])
     beta = np.linalg.lstsq(design, target, rcond=None)[0]
     return float((Z[a] - Z[b]) @ beta)
+
+
+def ridge_elementwise_bits(C, block) -> np.ndarray:
+    """Ridge's canonical bits (R, L, K) for an (R, L, n) block of 0/1 rows
+    over the pair rows C (R, K, n): each score an elementwise product summed
+    along the last axis, as ``RidgeLearner.pair_bit`` sums it, with every
+    training target 1 counted as a tie.
+    """
+    n = block.shape[-1]
+    bits = (block[:, :, None, :] * C[:, None]).sum(axis=-1) > 0
+    return bits & (block.sum(axis=-1, keepdims=True) < n - 1)

@@ -20,6 +20,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_bounds_grid(capsys):
     code, out, _ = run(
         capsys, "bounds", "--n-range", "3..6", "--w-range", "1..3",
@@ -255,6 +262,18 @@ def test_simulate_refused_by_bytes_exits_3(extra, capsys):
     assert code == 3 and out == "" and "bytes of ridge's pair rows" in err, err
 
 
+def test_simulate_type2_refused_by_bytes_before_its_wmw_table():
+    # The WMW critical value at n = 1300 takes minutes; ridge's pair rows
+    # are refused before the value is needed, so the run ends at once.
+    proc = subprocess.run(
+        [sys.executable, "-m", "lightcodes", "simulate", "--mode", "type2", "--learner",
+         "ridge;lambda=1", "--sizes", "1300", "--reps", "1"],
+        env=checkout_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert "bytes of ridge's pair rows" in proc.stderr
+
+
 def test_simulate_ridge_without_training_rows(capsys):
     code, _, err = run(capsys, "simulate", "--mode", "null", "--learner",
                        "ridge;lambda=1", "--n", "2", "--w", "1")
@@ -378,7 +397,29 @@ REPLICATION_PINS = {
          "--seed", "3"),
         "db5b10ce66bc57d233ffcec9bae20858926c6ec936c7be69eca0bd0cc3087046",
     ),
+    # Many labelings of one sample, recorded while ridge still summed every
+    # score elementwise: the exact null, the Monte-Carlo null, and the exact
+    # null of an integer grid whose scores often fall at or near 0.
+    "ridge-exact-null": (
+        ("simulate", "--mode", "null", "--learner", "ridge;lambda=1", "--scenario",
+         "null-gauss-10d", "--n", "14", "--w", "7", "--seed", "3"),
+        "0eb286c72e6132e4986f0781fb8d340546e2ddb3a854a95cf7d0f465dd3b40c5",
+    ),
+    "ridge-mc-null": (
+        ("simulate", "--mode", "null", "--learner", "ridge;lambda=1", "--scenario",
+         "null-gauss-10d", "--n", "20", "--w", "10", "--permutations", "200", "--seed", "3"),
+        "e91f881d421ad024ed27e64aea1191fbd19cd1c0b090723f650efdcf389c3e92",
+    ),
+    "ridge-grid-exact-null": (
+        ("simulate", "--mode", "null", "--learner", "ridge;lambda=1", "--scenario",
+         "csv:{grid}", "--n", "12", "--w", "6", "--seed", "3"),
+        "a414e143f5f3c01fb36777e2948b3dfde358c64ef17e396b1bd9c7bd72829541",
+    ),
 }
+
+# Twelve rows of {0,1,2}^2 with duplicates, for the ridge-grid-exact-null pin.
+GRID_ROWS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (0, 0),
+             (1, 1), (2, 0), (0, 2), (1, 2), (2, 1), (1, 1)]
 
 
 # sha256 of the bound tables' stdout and of the Graham-Sloane code and witness
@@ -428,8 +469,10 @@ def test_bounds_at_large_n(capsys):
 def test_replication_outputs_are_pinned(name, tmp_path, capsys):
     configs = tmp_path / "configs.txt"
     configs.write_text("constant;feature=0;null-mix-1d;3\n")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x0,x1\n" + "".join(f"{a},{b}\n" for a, b in GRID_ROWS))
     argv, want = REPLICATION_PINS[name]
-    code, out, err = run(capsys, *(a.format(configs=configs) for a in argv))
+    code, out, err = run(capsys, *(a.format(configs=configs, grid=grid) for a in argv))
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == want, out
 
@@ -451,12 +494,9 @@ def test_rerun_determinism(argv, capsys):
 
 
 def test_cli_module_runs_like_the_package():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["bounds", "--n-range", "3..4", "--w-range", "1..1", "--W-range", "0..0"]
     package, module = (
-        subprocess.run([sys.executable, "-m", name, *argv], env=env,
+        subprocess.run([sys.executable, "-m", name, *argv], env=checkout_env(),
                        capture_output=True, text=True, timeout=120)
         for name in ("lightcodes", "lightcodes.cli")
     )

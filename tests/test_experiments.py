@@ -274,6 +274,32 @@ def test_type2_experiment_basics():
         type2_experiment(learner, "linear-4sig", (20,), table, 10, 5)
 
 
+def test_type2_reads_each_critical_value_after_scoring_its_size():
+    events = []
+
+    class RecordingTable(dict):
+        def __getitem__(self, cell):
+            events.append(("lookup", cell))
+            return super().__getitem__(cell)
+
+    def scored(learner, scenario, n, w, reps, seed):
+        events.append(("score", n))
+        return np.zeros(reps, dtype=np.int64)
+
+    learner = make_learner("constant;feature=0")
+    table = RecordingTable({(6, 6): 3, (8, 8): None})
+    with mock.patch.object(experiments, "replicate_error_counts", scored):
+        res = type2_experiment(learner, "linear-4sig", (12, 16), table, 4, 5)
+        assert res == {12: Fraction(0), 16: Fraction(1)}
+        assert events == [("score", 12), ("lookup", (6, 6)), ("score", 16), ("lookup", (8, 8))]
+        events.clear()
+        # A missing cell or an odd size later in the list is refused before any scoring.
+        for sizes in [(12, 20), (12, 13)]:
+            with pytest.raises(ValueError, match="no critical value|must be even"):
+                type2_experiment(learner, "linear-4sig", sizes, table, 4, 5)
+        assert events == []
+
+
 def test_type2_none_critical_always_fails():
     learner = make_learner("constant;feature=0")
     res = type2_experiment(learner, "linear-4sig", (12,), {(6, 6): None}, 15, 5)

@@ -21,7 +21,7 @@ from lightcodes.learners import (
 )
 from lightcodes.lpocv import exact_null_distribution
 from lightcodes.words import Word, iter_words
-from oracles import knn_neighbor_table, ridge_retrained_difference
+from oracles import knn_neighbor_table, ridge_elementwise_bits, ridge_retrained_difference
 
 
 def gaussian_data(n, d, seed):
@@ -351,10 +351,13 @@ def test_knn_neighbor_table_matches_loop_oracle(k):
 
 
 def random_dataset(spec, n, seed):
-    """Gaussian rows for ridge; a small integer grid (ties, duplicates) otherwise."""
+    """A small integer grid (ties, duplicates); for ridge, Gaussian rows or
+    rows of {0,1,2}^d, d <= 3, whose scores fall at or near 0."""
     rng = np.random.default_rng(seed)
     if spec.startswith("ridge"):
-        return Dataset(rng.standard_normal((n, 2)))
+        if rng.integers(2):
+            return Dataset(rng.standard_normal((n, 2)))
+        return Dataset(rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(float))
     if spec == "parity":
         return Dataset(rng.integers(0, 2, (n, 2)).astype(float))
     return Dataset(rng.integers(0, 3, (n, 2)).astype(float))
@@ -364,7 +367,7 @@ def random_dataset(spec, n, seed):
 @given(st.data())
 def test_kernel_error_counts_equal_per_pair_loop(draw):
     spec = draw.draw(st.sampled_from(ALL_SPECS))
-    n = draw.draw(st.integers(4, 8))
+    n = draw.draw(st.integers(4, 12 if spec.startswith("ridge") else 8))
     data = random_dataset(spec, n, draw.draw(st.integers(0, 2**32 - 1)))
     masks = draw.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=12))
     mat = np.array([[m >> i & 1 for i in range(n)] for m in masks], dtype=np.uint8)
@@ -374,6 +377,22 @@ def test_kernel_error_counts_equal_per_pair_loop(draw):
     with mock.patch.object(learners, "_BLOCK_ELEMENTS", block):
         batch = learner.error_counts(data, mat)
     assert np.array_equal(batch, Learner.error_counts(learner, data, mat))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ridge_kernel_equals_elementwise_sums_on_stacked_blocks(seed):
+    # Integer-grid samples put many scores at or near 0, where a BLAS product
+    # may round to the other sign; the kernel must still give pair_bit's bits.
+    rng = np.random.default_rng(seed)
+    R, L, n, d = 3, 40, int(rng.integers(8, 13)), int(rng.integers(1, 4))
+    feats = rng.integers(0, 3, (R, n, d)).astype(float)
+    block = (rng.random((R, L, n)) < rng.random((R, L, 1))).astype(np.uint8)
+    lows, highs = (np.repeat(a[None], R, axis=0) for a in np.triu_indices(n, 1))
+    learner = RidgeLearner(1.0)
+    got = learner.pair_kernel(feats, lows, highs)(block)
+    want = ridge_elementwise_bits(learner._pair_rows(feats, lows, highs), block)
+    split = learners._at(block, lows) != learners._at(block, highs)
+    assert np.array_equal(got[split], want[split])
 
 
 @settings(max_examples=30, deadline=None)
