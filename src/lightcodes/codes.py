@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 from .johnson import (
@@ -174,14 +174,17 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
     2W disjoint transpositions with equal residue, so components are
     hypercubes of dimension <= 2W and the Eulerian orientation caps every
     outdegree at W.  Ties between classes go to the smallest residue.
+    The class is kept from 0-based supports S by tau = sum S + w, in mask (colex) order.
     """
     _check_lightness(W)
     if n < 4 * W:
         raise ValueError(f"Graham-Sloane construction needs n >= 4W, got n={n}, W={W}")
     refuse_over(f"C({n},{w})", comb(n, w), MATERIALIZE_LIMIT, "materialization")
     sizes = tau_class_sizes(n, w, W)
-    best = sizes.index(max(sizes))
-    return _with_euler_witness(n, w, W, [word for word in iter_words(n, w) if tau(word, W) == best])
+    modulus, best = len(sizes), sizes.index(max(sizes))
+    masks = sorted(sum(1 << p for p in support) for support in combinations(range(n), w)
+                   if (sum(support) + w) % modulus == best)
+    return _with_euler_witness(n, w, W, [Word(mask, n, w) for mask in masks])
 
 
 def best_construction(n: int, w: int, W: int) -> LightCode:

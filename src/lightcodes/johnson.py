@@ -17,11 +17,12 @@ Eulerian orientation that makes every code of max degree <= 2W W-light.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
 
-from .words import Word, _check_weight, iter_words, neighbor_masks, neighbors, rank, unrank
+from .words import Word, _check_weight, _positions, iter_words, neighbors, rank, unrank
 
 MATERIALIZE_LIMIT = 10**6
 BYTES_LIMIT = 2**30
@@ -77,7 +78,7 @@ class JohnsonGraph:
                     "materialization")
         # In colex order a word's position is its rank.
         index = {word.mask: r for r, word in enumerate(iter_words(self.n, self.w))}
-        return _edges_among(index, self.n)
+        return _edges_among(index)
 
     def full_subgraph(self) -> "InducedSubgraph":
         return InducedSubgraph(self, frozenset(range(self.num_vertices)), tuple(self.edges()))
@@ -106,14 +107,19 @@ class InducedSubgraph:
         return len(self.vertices) == self.parent.num_vertices
 
 
-def _edges_among(index: dict[int, int], n: int) -> list[tuple[int, int]]:
-    """Sorted edges (r, s), r < s, among the vertices of ``index`` ({mask: rank})."""
+def _edges_among(index: dict[int, int]) -> list[tuple[int, int]]:
+    """Sorted edges (r, s), r < s, among the vertices of ``index`` ({mask: rank}).
+
+    Adjacent words share one (w-1)-subset, their intersection, so each edge is
+    one pair of one bucket; a key holds a vertex's subset above its rank, and
+    sorting the keys groups each bucket in ascending rank."""
+    shift = max(index.values(), default=0).bit_length()
+    keys = sorted((mask ^ 1 << p) << shift | r
+                  for mask, r in index.items() for p in _positions(mask))
+    low_bits = (1 << shift) - 1
     edges = []
-    for mask, r in index.items():
-        for m in neighbor_masks(mask, n):
-            s = index.get(m)
-            if s is not None and s > r:
-                edges.append((r, s))
+    for _, bucket in groupby(keys, lambda key: key >> shift):
+        edges.extend(combinations([key & low_bits for key in bucket], 2))
     edges.sort()
     return edges
 
@@ -133,7 +139,7 @@ def build_induced(graph: JohnsonGraph, vertices) -> InducedSubgraph:
             if not 0 <= r < graph.num_vertices:
                 raise ValueError(f"rank {r} out of range for J({graph.n},{graph.w})")
             index[unrank(graph.n, graph.w, r).mask] = r
-    edges = _edges_among(index, graph.n)
+    edges = _edges_among(index)
     return InducedSubgraph(graph, frozenset(index.values()), tuple(edges))
 
 

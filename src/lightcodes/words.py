@@ -22,6 +22,16 @@ def _check_weight(n: int, w: int) -> None:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending, found one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """A binary word of length ``n`` with exactly ``w`` ones, packed into ``mask``."""
@@ -52,17 +62,15 @@ class Word:
     @classmethod
     def from_string(cls, bits: str) -> "Word":
         """Parse an ASCII bit-string; leftmost character is position 1."""
-        if not bits or any(c not in "01" for c in bits):
+        # Something is left once 0/1 are stripped; int() alone takes "_", " ", "0b".
+        if not bits or bits.strip("01"):
             raise ValueError(f"not a bit-string: {bits!r}")
-        mask = 0
-        for i, c in enumerate(bits):
-            if c == "1":
-                mask |= 1 << i
+        mask = int(bits[::-1], 2)
         return cls(mask, len(bits), mask.bit_count())
 
     def to_string(self) -> str:
         """ASCII bit-string, position 1 first."""
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.n))
+        return format(self.mask, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_string()
@@ -75,11 +83,11 @@ class Word:
 
     def support(self) -> tuple[int, ...]:
         """0-based positions of the ones, ascending."""
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
+        return _positions(self.mask)
 
     def zeros(self) -> tuple[int, ...]:
         """0-based positions of the zeros, ascending."""
-        return tuple(i for i in range(self.n) if not self.mask >> i & 1)
+        return _positions(self.mask ^ ((1 << self.n) - 1))
 
     def complement(self) -> "Word":
         """Word with every bit flipped (weight n - w)."""
@@ -112,10 +120,7 @@ def enumerate_words(n: int, w: int) -> list[Word]:
 
 def rank(word: Word) -> int:
     """Position of ``word`` in the colex enumeration of S(n,w)."""
-    r = 0
-    for k, pos in enumerate(word.support(), start=1):
-        r += comb(pos, k)
-    return r
+    return sum(map(comb, word.support(), range(1, word.w + 1)))
 
 
 def unrank(n: int, w: int, r: int) -> Word:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,45 @@ def test_summary_counts_wins_by_each_metrics_direction():
 def test_quartiles_of_one_run_are_that_run():
     assert ab_bench.quartiles([0.5]) == (0.5, 0.5, 0.5)
     assert ab_bench.quartiles([1.0, 2.0, 3.0]) == (1.5, 2.0, 2.5)
+
+
+def git_clone_of_one_commit(path):
+    """A git checkout at ``path`` with one commit; returns that commit."""
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+    path.mkdir()
+    git("init", "-q")
+    (path / "file.txt").write_text("x\n")
+    git("add", "file.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    return git("rev-parse", "HEAD")
+
+
+def test_a_git_checkout_is_not_paired_with_a_copied_tree(tmp_path, monkeypatch):
+    head = git_clone_of_one_commit(tmp_path / "clone")
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    assert ab_bench.git_head(tmp_path / "clone") == head and ab_bench.git_head(copy) is None
+
+    def never(*args):
+        raise AssertionError("ran the benchmark")
+
+    monkeypatch.setattr(ab_bench, "run_bench", never)
+    for parent, change in ((tmp_path / "clone", copy), (copy, tmp_path / "clone")):
+        with pytest.raises(SystemExit, match="one tree is a git checkout and the other is not"):
+            ab_bench.main([str(parent), str(change), "--workload", "tables", "--seed", "7",
+                           "--pairs", "1"])
+
+
+def test_summary_names_each_trees_commit(tmp_path, monkeypatch, capsys):
+    heads = [git_clone_of_one_commit(tmp_path / side) for side in ab_bench.SIDES]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "run_bench", lambda tree, *args: {
+        **record(0.3, 500), "verdict": {"correct": True, "attempted": 1, "failed": 0}})
+    assert ab_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                          "tables", "--seed", "7", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    for side, head in zip(ab_bench.SIDES, heads):
+        assert f"# {side}: {tmp_path / side} at {head}\n" in out

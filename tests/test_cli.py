@@ -424,34 +424,54 @@ GRID_ROWS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (0, 0),
 
 # sha256 of the bound tables' stdout and of the Graham-Sloane code and witness
 # files, recorded while the tables still enumerated the tau classes; the
-# second table is demos/out/bound_table.csv.
+# second table is demos/out/bound_table.csv.  The verify and n = 70 pins were
+# recorded while the listing still built a Word for every word of S(n,w) and
+# the edges came from w(n-w) neighbor probes per vertex; the verify witness
+# depends on the edge order.  Each pin runs its commands in order in a fresh
+# directory and hashes their joined stdout and the files they wrote.
+GS_18_6_3 = ("construct", "--method", "graham-sloane", "--n", "18", "--w", "6", "--W", "3",
+             "--out", "code.txt", "--witness", "witness.txt")
 TABLE_PINS = {
     "bounds-small": (
-        ("bounds", "--n-range", "3..6", "--w-range", "1..3", "--W-range", "0..2",
-         "--exact-when-small"),
+        [("bounds", "--n-range", "3..6", "--w-range", "1..3", "--W-range", "0..2",
+          "--exact-when-small")],
         {"stdout": "d6770c2d516800f08f4051fab6925e69641b985742ab59582ebae5c539ae51e1"},
     ),
     "bounds-demo-table": (
-        ("bounds", "--n-range", "6..8", "--w-range", "3", "--W-range", "0..2",
-         "--exact-when-small"),
+        [("bounds", "--n-range", "6..8", "--w-range", "3", "--W-range", "0..2",
+          "--exact-when-small")],
         {"stdout": "4a9f679572c17950d4022732dafcd16c63a73bc20ee73f4b9d4bf29fa2bf6a14"},
     ),
     "construct-graham-sloane": (
-        ("construct", "--method", "graham-sloane", "--n", "18", "--w", "6", "--W", "3",
-         "--out", "{dir}/code.txt", "--witness", "{dir}/witness.txt"),
+        [GS_18_6_3],
         {"code.txt": "1b43e5c9208bb583a968e6a532811524dec1c2c53f8ff0f9435aebdd668ceaf6",
          "witness.txt": "f393a6149484084fb5906c47700f925525a37c61955a6a89ef5fea903d25b2d8"},
+    ),
+    "verify-graham-sloane": (
+        [GS_18_6_3, ("verify", "--code", "code.txt", "--W", "3", "--witness", "verified.txt")],
+        {"stdout": "6a5a0f34a6220eccaf06df74c6de14990ff48dc8dfadc7b306eeb177b291e82c",
+         "verified.txt": "f393a6149484084fb5906c47700f925525a37c61955a6a89ef5fea903d25b2d8"},
+    ),
+    "construct-graham-sloane-past-64": (
+        [("construct", "--method", "graham-sloane", "--n", "70", "--w", "3", "--W", "1",
+          "--out", "code.txt", "--witness", "witness.txt")],
+        {"code.txt": "6b70c9e91762b83b2a01a46acc93541e888f4cfb067d87bf2b2d1a7597e16462",
+         "witness.txt": "d1bf018a29162bee1983d6c07c649d163aa0392b2ffda2bd253362417a55f1be"},
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_PINS))
-def test_table_outputs_are_pinned(name, tmp_path, capsys):
-    argv, want = TABLE_PINS[name]
-    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert code == 0, err
+def test_table_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
+    commands, want = TABLE_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    stdout = ""
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        stdout += out
     got = {
-        key: hashlib.sha256(out.encode() if key == "stdout" else (tmp_path / key).read_bytes())
+        key: hashlib.sha256(stdout.encode() if key == "stdout" else (tmp_path / key).read_bytes())
         .hexdigest()
         for key in want
     }

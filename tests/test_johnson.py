@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightcodes import johnson
@@ -68,6 +68,29 @@ def test_build_induced_edges_match_brute_force(data):
     graph = JohnsonGraph(n, w)
     ranks = data.draw(st.lists(st.integers(0, graph.num_vertices - 1)))
     all_masks = colex_masks(n, w)
+    masks = [all_masks[r] for r in ranks]
+    expected = johnson_edges(n, w, masks)
+    for vertices in ([Word(m, n, w) for m in masks], ranks):
+        sub = build_induced(graph, vertices)
+        assert sub.vertices == frozenset(ranks)
+        assert list(sub.edges) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_build_induced_edges_match_brute_force_past_64_positions(data):
+    n, w = data.draw(st.integers(65, 96)), data.draw(st.integers(1, 3))
+    graph = JohnsonGraph(n, w)
+    all_masks = colex_masks(n, w)
+    ranks = data.draw(st.lists(st.integers(0, len(all_masks) - 1), min_size=1, max_size=20))
+    # Plant transposition neighbors of drawn vertices, so that edges exist.
+    rank_of = {m: r for r, m in enumerate(all_masks)}
+    for r, one, zero in data.draw(st.lists(st.tuples(
+            st.sampled_from(ranks), st.integers(0, w - 1), st.integers(0, n - 1)), max_size=20)):
+        mask = all_masks[r]
+        if not mask >> zero & 1:
+            i = [p for p in range(n) if mask >> p & 1][one]
+            ranks.append(rank_of[mask ^ 1 << i ^ 1 << zero])
     masks = [all_masks[r] for r in ranks]
     expected = johnson_edges(n, w, masks)
     for vertices in ([Word(m, n, w) for m in masks], ranks):

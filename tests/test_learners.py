@@ -379,6 +379,19 @@ def test_kernel_error_counts_equal_per_pair_loop(draw):
     assert np.array_equal(batch, Learner.error_counts(learner, data, mat))
 
 
+@pytest.mark.parametrize("seed", [8, 12, 19, 23, 31, 35])
+def test_ridge_error_counts_equal_per_pair_loop_in_the_rounding_band(seed):
+    # Integer-grid samples whose BLAS scores fall inside ridge's rounding band
+    # on the wrong side of 0: without the band recount each seed's counts
+    # differ from the per-pair loop's.
+    rng = np.random.default_rng(seed)
+    n = 12
+    data = Dataset(rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(float))
+    mat = (rng.random((40, n)) < 0.5).astype(np.uint8)
+    learner = RidgeLearner(1.0)
+    assert np.array_equal(learner.error_counts(data, mat), Learner.error_counts(learner, data, mat))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_ridge_kernel_equals_elementwise_sums_on_stacked_blocks(seed):
     # Integer-grid samples put many scores at or near 0, where a BLAS product

@@ -12,6 +12,12 @@ name under ``.bench_work/ab/`` as soon as the run ends.  At the end each
 metric of the records is summarised: each side's median and quartiles, the
 number of pairs in which the change did better, and whether the medians
 differ by more than the parent's quartile spread.
+
+Make both trees the same way, best as two ``git clone``s: a tree copied
+without its ``.git`` has run ``replication-study`` 20-25% slower than a
+clone of the same commit (2-core VM, cause not found), so a git checkout
+paired with a tree that is not one is refused.  The summary names the
+commit each tree has checked out.
 """
 
 from __future__ import annotations
@@ -75,6 +81,24 @@ def format_rows(rows) -> list[str]:
     return lines
 
 
+def git_head(tree: Path) -> str | None:
+    """The commit a git checkout has checked out; None for a tree that is not one."""
+    if not (tree / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def tree_heads(trees: dict) -> dict:
+    """Each tree's ``git_head``; refuses a git checkout paired with a tree that is not one."""
+    heads = {side: git_head(tree) for side, tree in trees.items()}
+    if len({head is None for head in heads.values()}) > 1:
+        raise SystemExit("one tree is a git checkout and the other is not: "
+                         + ", ".join(f"{side} {trees[side]}" for side in trees)
+                         + "; compare two git clones")
+    return heads
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """Run ``bench/run.py`` in ``tree``; its record, with the run's verdict."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -103,6 +127,7 @@ def main(argv=None) -> int:
     out = ROOT / ".bench_work" / "ab"
     out.mkdir(parents=True, exist_ok=True)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    heads = tree_heads(trees)
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -117,6 +142,8 @@ def main(argv=None) -> int:
         pairs.append((records["parent"], records["change"]))
     print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s each; "
           f"records in {out.relative_to(ROOT)}")
+    for side in SIDES:
+        print(f"# {side}: {trees[side]} at {heads[side] or 'no git checkout'}")
     print("\n".join(format_rows(summarize(pairs, spec))))
     return 0 if all(r["verdict"]["correct"] for pair in pairs for r in pair) else 1
 
