@@ -24,7 +24,6 @@ from .johnson import (
     OrientedSet,
     _check_lightness,
     build_induced,
-    eulerian_orientation,
     orientation_feasible,
     refuse_over,
 )
@@ -56,7 +55,11 @@ class LightCode:
             if word in seen:
                 raise ValueError(f"duplicate code word {word}")
             seen.add(word)
-        if self.witness is not None and self.witness.max_outdegree() > self.W:
+        witness = self.witness
+        if witness is not None and (witness.domain.parent, witness.domain.vertices) != (
+                JohnsonGraph(self.n, self.w), frozenset(map(rank, self.words))):
+            raise ValueError("witness orientation is not on the code's words")
+        if witness is not None and witness.max_outdegree() > self.W:
             raise ValueError("witness orientation exceeds the lightness parameter")
 
     @property
@@ -72,14 +75,11 @@ def verify_light(code: LightCode) -> tuple[bool, Orientation | None]:
     return orientation_feasible(code.induced_subgraph(), code.W)
 
 
-def _with_euler_witness(n: int, w: int, W: int, words: list[Word]) -> LightCode:
-    g = build_induced(JohnsonGraph(n, w), words)
-    witness = eulerian_orientation(g)
-    if witness.max_outdegree() > W:
-        raise AssertionError(
-            f"construction for (n={n}, w={w}, W={W}) produced outdegree "
-            f"{witness.max_outdegree()}"
-        )
+def _certified(n: int, w: int, W: int, words: list[Word]) -> LightCode:
+    """The code with its cap-W witness; a construction's induced degrees are <= 2W."""
+    ok, witness = orientation_feasible(build_induced(JohnsonGraph(n, w), words), W)
+    if not ok:
+        raise AssertionError(f"construction for (n={n}, w={w}, W={W}) is not {W}-light")
     return LightCode(n, w, W, tuple(words), witness)
 
 
@@ -94,7 +94,7 @@ def construct_tournament(n: int, W: int) -> LightCode:
     _check_lightness(W)
     size = min(2 * W + 1, n)
     words = [Word.from_support(n, (i,)) for i in range(size)]
-    return _with_euler_witness(n, 1, W, words)
+    return _certified(n, 1, W, words)
 
 
 def _shift_orbit(n: int, d: int) -> list[Word]:
@@ -133,7 +133,7 @@ def construct_orbit(n: int, W: int) -> LightCode:
             f"shift-orbit construction for (n={n}, W={W}) has {len(words)} words, "
             f"expected {target}"
         )
-    return _with_euler_witness(n, 2, W, words)
+    return _certified(n, 2, W, words)
 
 
 def _tau_modulus(n: int, W: int) -> int:
@@ -168,7 +168,7 @@ def tau_class_sizes(n: int, w: int, W: int, counts=None) -> list[int]:
 
 
 def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
-    """Largest tau residue class, oriented Eulerian-wise.
+    """Largest tau residue class, certified W-light.
 
     Requires n >= 4W: inside one class, the only distance-2 moves are the
     2W disjoint transpositions with equal residue, so components are
@@ -184,7 +184,7 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
     modulus, best = len(sizes), sizes.index(max(sizes))
     masks = sorted(sum(1 << p for p in support) for support in combinations(range(n), w)
                    if (sum(support) + w) % modulus == best)
-    return _with_euler_witness(n, w, W, [Word(mask, n, w) for mask in masks])
+    return _certified(n, w, W, [Word(mask, n, w) for mask in masks])
 
 
 def best_construction(n: int, w: int, W: int) -> LightCode:
@@ -197,7 +197,7 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
     if n - w in (1, 2):
         base = construct_tournament(n, W) if n - w == 1 else construct_orbit(n, W)
         flipped = [word.complement() for word in base.words]
-        candidates.append(_with_euler_witness(n, w, W, flipped))
+        candidates.append(_certified(n, w, W, flipped))
     if n >= 4 * W and comb(n, w) <= MATERIALIZE_LIMIT:
         candidates.append(construct_graham_sloane(n, w, W))
     if not candidates:

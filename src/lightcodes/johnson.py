@@ -69,6 +69,18 @@ class JohnsonGraph:
     def word(self, r: int) -> Word:
         return unrank(self.n, self.w, r)
 
+    def rank_of(self, v) -> int:
+        """The rank of ``v``, a Word of this graph or a rank in range."""
+        if isinstance(v, Word):
+            if (v.n, v.w) != (self.n, self.w):
+                raise ValueError(
+                    f"word {v} has parameters ({v.n},{v.w}), expected ({self.n},{self.w})")
+            return rank(v)
+        r = int(v)
+        if not 0 <= r < self.num_vertices:
+            raise ValueError(f"rank {r} out of range for J({self.n},{self.w})")
+        return r
+
     def neighbor_ranks(self, r: int) -> list[int]:
         return [rank(v) for v in neighbors(self.word(r))]
 
@@ -128,17 +140,8 @@ def build_induced(graph: JohnsonGraph, vertices) -> InducedSubgraph:
     """Induced subgraph on the given words or ranks."""
     index: dict[int, int] = {}
     for v in vertices:
-        if isinstance(v, Word):
-            if v.n != graph.n or v.w != graph.w:
-                raise ValueError(
-                    f"word {v} has parameters ({v.n},{v.w}), expected ({graph.n},{graph.w})"
-                )
-            index[v.mask] = rank(v)
-        else:
-            r = int(v)
-            if not 0 <= r < graph.num_vertices:
-                raise ValueError(f"rank {r} out of range for J({graph.n},{graph.w})")
-            index[unrank(graph.n, graph.w, r).mask] = r
+        r = graph.rank_of(v)
+        index[v.mask if isinstance(v, Word) else graph.word(r).mask] = r
     edges = _edges_among(index)
     return InducedSubgraph(graph, frozenset(index.values()), tuple(edges))
 
@@ -173,7 +176,7 @@ class Orientation:
 
 def outdegree(orientation: Orientation, v) -> int:
     """Number of arcs leaving vertex ``v`` (a Word or a rank)."""
-    r = rank(v) if isinstance(v, Word) else int(v)
+    r = orientation.domain.parent.rank_of(v)
     if r not in orientation.domain.vertices:
         raise ValueError(f"vertex {r} not in orientation domain")
     return orientation._outdeg[r]

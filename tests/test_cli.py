@@ -11,7 +11,7 @@ import pytest
 from lightcodes import lpocv
 from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
-from lightcodes.words import enumerate_words, read_word_file, write_word_file
+from lightcodes.words import Word, enumerate_words, read_word_file, write_word_file
 
 
 def run(capsys, *argv):
@@ -356,9 +356,35 @@ def test_exact_l_rejects_negative_W(capsys):
 def test_exact_l_verification_failure_exits_4(monkeypatch, capsys):
     from lightcodes import codes
 
+    # The constructions certify through the same check, so seed with one unchecked word.
+    monkeypatch.setattr(codes, "best_construction", lambda n, w, W: codes.LightCode(
+        n, w, W, (Word((1 << w) - 1, n, w),)))
     monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
     code, _, err = run(capsys, "exact-l", "--n", "6", "--w", "3", "--W", "1")
     assert code == 4 and "fails orientation verification" in err
+
+
+def test_construct_builds_the_induced_graph_once(monkeypatch, tmp_path, capsys):
+    from lightcodes import codes
+
+    calls = []
+    build = codes.build_induced
+    monkeypatch.setattr(codes, "build_induced", lambda *a: calls.append(a) or build(*a))
+    code, _, err = run(capsys, "construct", "--method", "graham-sloane", "--n", "10",
+                       "--w", "4", "--W", "2", "--out", str(tmp_path / "c.txt"),
+                       "--witness", str(tmp_path / "wit.txt"))
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_construct_refused_exits_4(monkeypatch, tmp_path, capsys):
+    from lightcodes import codes
+
+    monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
+    code, out, err = run(capsys, "construct", "--method", "orbit", "--n", "7", "--w", "2",
+                         "--W", "1", "--out", str(tmp_path / "c.txt"))
+    assert code == 4 and out == "" and "internal verification failure" in err, err
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_unknown_subcommand(capsys):

@@ -81,6 +81,36 @@ def test_lightcode_validation():
         LightCode(4, 2, -1, (w,))
 
 
+def test_lightcode_rejects_a_witness_of_other_words():
+    code = construct_orbit(9, 2)
+    with pytest.raises(ValueError, match="not on the code's words"):
+        LightCode(9, 2, 2, code.words, construct_orbit(9, 1).witness)
+    with pytest.raises(ValueError, match="not on the code's words"):
+        LightCode(9, 2, 2, code.words[:-1], code.witness)
+    # The same ranks of another Johnson graph are not the code's words either.
+    other = construct_tournament(9, 4)
+    same_ranks = tuple(map(JohnsonGraph(9, 2).word, sorted(other.witness.domain.vertices)))
+    with pytest.raises(ValueError, match="not on the code's words"):
+        LightCode(9, 2, 4, same_ranks, other.witness)
+    assert LightCode(9, 2, 2, code.words, code.witness) == code
+
+
+def test_constructions_certify_with_cap_W(monkeypatch):
+    calls = []
+    feasible = codes.orientation_feasible
+    monkeypatch.setattr(codes, "orientation_feasible",
+                        lambda g, W: calls.append(W) or feasible(g, W))
+    for construct in (lambda: construct_tournament(7, 2), lambda: construct_orbit(9, 3),
+                      lambda: construct_graham_sloane(12, 4, 2)):
+        code = construct()
+        assert code.witness is not None and code.witness.max_outdegree() <= code.W
+        assert code.witness == feasible(code.induced_subgraph(), code.W)[1]
+    assert calls == [2, 3, 2]
+    monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
+    with pytest.raises(AssertionError, match=r"\(n=12, w=4, W=2\) is not 2-light"):
+        construct_graham_sloane(12, 4, 2)
+
+
 def test_tournament_sizes():
     assert construct_tournament(7, 1).size == 3
     assert construct_tournament(3, 0).size == 1
@@ -258,6 +288,9 @@ def test_exact_L_rejects_negative_W():
 
 
 def test_exact_L_fails_loudly_when_verification_fails(monkeypatch):
+    # The constructions certify through the same check, so seed with one unchecked word.
+    monkeypatch.setattr(codes, "best_construction",
+                        lambda n, w, W: LightCode(n, w, W, (Word((1 << w) - 1, n, w),)))
     monkeypatch.setattr(codes, "orientation_feasible", lambda g, W: (False, None))
     for return_code in (False, True):
         with pytest.raises(AssertionError, match="fails orientation verification"):

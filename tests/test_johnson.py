@@ -341,6 +341,13 @@ def test_outdegree_errors():
         outdegree(o, 5)
 
 
+def test_outdegree_rejects_a_word_of_another_graph():
+    o = eulerian_orientation(JohnsonGraph(4, 2).full_subgraph())
+    assert outdegree(o, Word.from_string("1100")) == outdegree(o, 0) == 2
+    with pytest.raises(ValueError, match=r"parameters \(6,3\), expected \(4,2\)"):
+        outdegree(o, Word.from_string("111000"))  # rank 0 of J(6,3)
+
+
 def test_orientation_file_roundtrip(tmp_path):
     o = eulerian_orientation(JohnsonGraph(4, 2).full_subgraph())
     path = tmp_path / "wit.txt"
