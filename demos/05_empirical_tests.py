@@ -43,7 +43,6 @@ for cell in CELLS:
 
 print("\nType-II error (failure-to-reject) curves, 300 reps per size:")
 sizes = (12, 16, 20, 24, 28, 32, 36, 40)
-wmw_table = {(s // 2, s - s // 2): wmw_critical("0.05", s, s // 2) for s in sizes}
 runs = [
     ("ridge on 4-signal linear data", RidgeLearner(1.0), "linear-4sig"),
     ("ridge on 1-signal linear data", RidgeLearner(1.0), "linear-1sig"),
@@ -54,7 +53,7 @@ path = OUT / "type2_curves.csv"
 with open(path, "w") as fh:
     fh.write("setting,size,failure_proportion\n")
     for label, learner, scenario in runs:
-        res = type2_experiment(learner, scenario, sizes, wmw_table, 300, 9)
+        res = type2_experiment(learner, scenario, sizes, "0.05", 300, 9)
         curve = "  ".join(f"{float(res[s]):.2f}" for s in sizes)
         print(f"  {label:32} {curve}")
         for s in sizes:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Mapping
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
@@ -23,7 +22,7 @@ from .experiments import (
 from .johnson import ResourceLimitError, write_orientation_file
 from .learners import make_learner
 from .lpocv import histogram_from_errors, null_error_counts
-from .wilcoxon import wmw_critical, wmw_critical_grid
+from .wilcoxon import wmw_critical_grid
 from .words import read_word_file, write_word_file
 
 EXIT_OK = 0
@@ -226,32 +225,10 @@ def _simulate_null(args, learner) -> list[str]:
     return lines
 
 
-class _WmwCells(Mapping):
-    """WMW critical values of the balanced cells of ``sizes``, each computed
-    when it is looked up."""
-
-    def __init__(self, alpha, sizes):
-        self._alpha = alpha
-        self._cells = {(size // 2, size - size // 2) for size in sizes}
-
-    def __contains__(self, cell):
-        return cell in self._cells
-
-    def __getitem__(self, cell):
-        if cell not in self._cells:
-            raise KeyError(cell)
-        return wmw_critical(self._alpha, sum(cell), cell[0])
-
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __len__(self):
-        return len(self._cells)
-
-
 def _simulate_type2(args, learner) -> list[str]:
-    table = _WmwCells(args.alpha, args.sizes)
-    results = type2_experiment(learner, args.scenario, args.sizes, table, args.reps, args.seed)
+    results = type2_experiment(
+        learner, args.scenario, args.sizes, args.alpha, args.reps, args.seed
+    )
     lines = ["size,failure_proportion"]
     lines += [f"{size},{float(frac)!r}" for size, frac in results.items()]
     return lines

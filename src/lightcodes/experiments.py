@@ -11,7 +11,6 @@ results are independent of execution order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -21,7 +20,7 @@ import numpy as np
 from .datagen import _check_finite, _sampler
 from .learners import Learner, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
-from .wilcoxon import critical_value
+from .wilcoxon import _check_alpha, critical_value, wmw_critical
 from .words import _check_weight
 
 
@@ -121,38 +120,28 @@ def empirical_critical_table(
 
 
 def type2_experiment(
-    learner: Learner,
-    scenario: str,
-    sizes,
-    alpha_table: Mapping[tuple[int, int], int | None],
-    reps: int,
-    seed,
+    learner: Learner, scenario: str, sizes, alpha, reps: int, seed
 ) -> dict[int, Fraction]:
     """Proportion of replications failing to reject, per sample size.
 
     Sizes must be even (the classes are balanced); a replication fails
-    when its error count exceeds the cell's critical value, or always
-    when the cell is empty.  Every size and cell is checked before any
-    scoring, and a size's critical value is read only after its
-    replications are scored, so a table that computes its values on lookup
-    computes none for a size whose scoring is refused.
+    when its error count exceeds the WMW critical value of its size at
+    level ``alpha``, or always when there is none.  The level and every
+    size are checked before any scoring, and a size's critical value is
+    computed only after its replications are scored, so none is computed
+    for a size whose scoring is refused.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _check_alpha(alpha)
     for size in sizes:
         if size % 2 != 0:
             raise ValueError(f"sample size {size} must be even")
-        cell = (size // 2, size - size // 2)
-        if cell not in alpha_table:
-            raise ValueError(f"no critical value for cell {cell}")
     results: dict[int, Fraction] = {}
     for size in sizes:
         w = size // 2
         errors = replicate_error_counts(learner, scenario, size, w, reps, seed)
-        crit = alpha_table[(w, size - w)]
-        if crit is None:
-            failures = reps
-        else:
-            failures = int((errors > crit).sum())
+        crit = wmw_critical(alpha, size, w)
+        failures = reps if crit is None else int((errors > crit).sum())
         results[size] = Fraction(failures, reps)
     return results

@@ -218,33 +218,18 @@ class BatchedLearner(Learner):
 
 
 class ConstantLearner(BatchedLearner):
-    """Fixed scoring function; ignores the training labels entirely.
+    """Scores each row by one feature column; ignores the training labels."""
 
-    Scores come either from an explicit per-row vector or from a feature
-    column of the sample.
-    """
-
-    def __init__(self, scores=None, feature: int = 0):
-        self.scores = None if scores is None else np.asarray(scores, dtype=float)
-        if self.scores is not None and self.scores.ndim != 1:
-            raise ValueError(f"scores must be a 1-d vector, got shape {self.scores.shape}")
+    def __init__(self, feature: int = 0):
         self.feature = _check_feature(feature)
-        self.name = "constant(scores)" if scores is not None else f"constant(feature={self.feature})"
-
-    def _score_vector(self, feats: np.ndarray) -> np.ndarray:
-        """(R, n) scores of the stacked samples."""
-        if self.scores is not None:
-            if len(self.scores) != feats.shape[1]:
-                raise ValueError("score vector length does not match the sample")
-            return np.broadcast_to(self.scores, feats.shape[:2])
-        return _feature_column(feats, self.feature)
+        self.name = f"constant(feature={self.feature})"
 
     def pair_bit(self, data, y, low, high):
-        s = self._score_vector(data.features[None])[0]
+        s = _feature_column(data.features[None], self.feature)[0]
         return int(s[low] > s[high])
 
     def pair_kernel(self, feats, lows, highs):
-        s = self._score_vector(feats)
+        s = _feature_column(feats, self.feature)
         bits = (_at(s, lows) > _at(s, highs))[:, None]
         return lambda block: bits
 

@@ -93,30 +93,22 @@ def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
 
 
 def null_error_counts(
-    learner: Learner, data: Dataset, w: int, M: int, seed, exact: bool | None = None
+    learner: Learner, data: Dataset, w: int, M: int, seed
 ) -> tuple[np.ndarray, bool]:
     """Error counts of the permutation null, and whether they are exact: every
-    labeling of S(n,w) when C(n,w) <= 10^5 (``exact`` overrides this choice,
-    within ``EXACT_NULL_LIMIT``), else the M labelings of
-    ``sample_labelings(n, w, M, seed)``, M refused past the same limit."""
+    labeling of S(n,w) when C(n,w) <= ``MC_EXACT_THRESHOLD``, else the M
+    labelings of ``sample_labelings(n, w, M, seed)``, M refused past
+    ``EXACT_NULL_LIMIT``."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    if exact is None:
-        exact = comb(data.n, w) <= MC_EXACT_THRESHOLD
-    if exact:
+    if comb(data.n, w) <= MC_EXACT_THRESHOLD:
         return _all_error_counts(learner, data, w), True
     refuse_over("Monte-Carlo labelings M", M, EXACT_NULL_LIMIT, "exact-null")
     return learner.error_counts(data, sample_labelings(data.n, w, M, seed)), False
 
 
 def mc_null_pvalue(
-    learner: Learner,
-    data: Dataset,
-    w: int,
-    observed_errors: int,
-    M: int,
-    seed,
-    exact: bool | None = None,
+    learner: Learner, data: Dataset, w: int, observed_errors: int, M: int, seed
 ) -> Fraction:
     """Permutation-test p-value for an observed LPOCV error count.
 
@@ -124,7 +116,7 @@ def mc_null_pvalue(
     (1 + #{errors <= observed}) / (M + 1); when C(n,w) <= 10^5 the full
     enumeration is used instead (see ``null_error_counts``).
     """
-    errors, exact = null_error_counts(learner, data, w, M, seed, exact)
+    errors, exact = null_error_counts(learner, data, w, M, seed)
     hits = int((errors <= observed_errors).sum())
     return Fraction(hits, len(errors)) if exact else Fraction(1 + hits, M + 1)
 

@@ -131,13 +131,17 @@ def unrank(n: int, w: int, r: int) -> Word:
         raise ValueError(f"rank {r} out of range [0, {total})")
     mask = 0
     rem = r
+    p = n
     for k in range(w, 0, -1):
-        # Largest position p with comb(p, k) <= rem.
-        p = k - 1
-        while comb(p + 1, k) <= rem:
-            p += 1
+        # Largest position p below the previous one with comb(p, k) <= rem;
+        # positions only fall, so the sweep makes at most n comb calls.
+        p -= 1
+        c = comb(p, k)
+        while c > rem:
+            p -= 1
+            c = comb(p, k)
         mask |= 1 << p
-        rem -= comb(p, k)
+        rem -= c
     return Word(mask, n, w)
 
 

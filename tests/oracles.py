@@ -1,6 +1,7 @@
 """Independent oracles shared by the tests (networkx is a test-only dependency)."""
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -11,6 +12,19 @@ from lightcodes.johnson import JohnsonGraph, OrientedSet
 def colex_masks(n: int, w: int) -> list[int]:
     """Every weight-w mask of length n, ascending; a mask's index is its rank."""
     return sorted(sum(1 << p for p in support) for support in itertools.combinations(range(n), w))
+
+
+def upward_unrank_mask(n: int, w: int, r: int) -> int:
+    """Mask of colex rank ``r`` in S(n,w), raising each position from its
+    least value one ``comb`` call at a time."""
+    mask = 0
+    for k in range(w, 0, -1):
+        p = k - 1
+        while math.comb(p + 1, k) <= r:
+            p += 1
+        mask |= 1 << p
+        r -= math.comb(p, k)
+    return mask
 
 
 def distance_two_pairs(masks) -> list[tuple[int, int]]:

@@ -106,7 +106,7 @@ def test_criterion_4_wilcoxon_oracle():
         for w in range(1, n):
             scores = np.arange(n, dtype=float)
             data = Dataset(scores[:, None])
-            hist = exact_null_distribution(ConstantLearner(scores=scores), data, w)
+            hist = exact_null_distribution(ConstantLearner(feature=0), data, w)
             assert hist.counts == wmw_distribution(n, w).counts, (n, w)
             cells += 1
     report(4, f"bit-exact match on {cells} (n,w) grids with n <= 8")
@@ -198,23 +198,18 @@ def test_criterion_8_pvalue_validity():
 SIZES = (12, 16, 20, 24, 28, 32, 36, 40)
 
 
-def wmw_table(sizes):
-    return {(s // 2, s - s // 2): wmw_critical("0.05", s, s // 2) for s in sizes}
-
-
 def test_criterion_9_type2_trends():
     start = time.monotonic()
-    table = wmw_table(SIZES)
     reps = 500
 
     ridge = RidgeLearner(1.0)
-    strong = type2_experiment(ridge, "linear-4sig", SIZES, table, reps, 5000)
+    strong = type2_experiment(ridge, "linear-4sig", SIZES, "0.05", reps, 5000)
     curve = [float(strong[s]) for s in SIZES]
     inversions = sum(1 for a, b in zip(curve, curve[1:]) if b > a)
     assert inversions <= 1, curve
 
-    ridge_nl = type2_experiment(ridge, "nonlinear-3mode", SIZES, table, reps, 5001)
-    knn_nl = type2_experiment(KnnLearner(3), "nonlinear-3mode", SIZES, table, reps, 5002)
+    ridge_nl = type2_experiment(ridge, "nonlinear-3mode", SIZES, "0.05", reps, 5001)
+    knn_nl = type2_experiment(KnnLearner(3), "nonlinear-3mode", SIZES, "0.05", reps, 5002)
     gap = float(ridge_nl[40]) - float(knn_nl[40])
     assert gap >= 0.2, (float(ridge_nl[40]), float(knn_nl[40]))
     elapsed = time.monotonic() - start

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lightcodes import lpocv
+from lightcodes import experiments, lpocv
 from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
 from lightcodes.words import Word, enumerate_words, read_word_file, write_word_file
@@ -217,6 +217,21 @@ def test_simulate_type2(tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "size,failure_proportion"
     assert len(rows) == 3
+
+
+def test_simulate_type2_bad_alpha_fails_before_scoring(monkeypatch, capsys):
+    scored = []
+    replicate = experiments.replicate_error_counts
+
+    def recording(learner, scenario, n, w, reps, seed):
+        scored.append(n)
+        return replicate(learner, scenario, n, w, reps, seed)
+
+    monkeypatch.setattr(experiments, "replicate_error_counts", recording)
+    code, out, err = run(capsys, "simulate", "--mode", "type2", "--learner", "knn;k=3",
+                         "--alpha", "2", "--sizes", "12,16", "--reps", "50")
+    assert code == 1 and out == "" and "alpha must be in (0,1)" in err, err
+    assert scored == []
 
 
 def test_simulate_unknown_learner_or_scenario(capsys):

@@ -264,46 +264,49 @@ def test_replicate_counts_check_each_block_is_finite():
 
 def test_type2_experiment_basics():
     learner = make_learner("constant;feature=0")
-    table = {(6, 6): wmw_critical("0.05", 12, 6), (8, 8): wmw_critical("0.05", 16, 8)}
-    res = type2_experiment(learner, "linear-4sig", (12, 16), table, 80, 5)
+    res = type2_experiment(learner, "linear-4sig", (12, 16), "0.05", 80, 5)
     assert set(res) == {12, 16}
-    assert all(0 <= float(v) <= 1 for v in res.values())
+    for size, frac in res.items():
+        errors = replicate_error_counts(learner, "linear-4sig", size, size // 2, 80, 5)
+        crit = wmw_critical("0.05", size, size // 2)
+        assert frac == Fraction(int((errors > crit).sum()), 80)
     with pytest.raises(ValueError):
-        type2_experiment(learner, "linear-4sig", (13,), table, 10, 5)
+        type2_experiment(learner, "linear-4sig", (13,), "0.05", 10, 5)
     with pytest.raises(ValueError):
-        type2_experiment(learner, "linear-4sig", (20,), table, 10, 5)
+        type2_experiment(learner, "linear-4sig", (12,), "1.5", 10, 5)
 
 
 def test_type2_reads_each_critical_value_after_scoring_its_size():
     events = []
 
-    class RecordingTable(dict):
-        def __getitem__(self, cell):
-            events.append(("lookup", cell))
-            return super().__getitem__(cell)
-
     def scored(learner, scenario, n, w, reps, seed):
         events.append(("score", n))
         return np.zeros(reps, dtype=np.int64)
 
+    def critical(alpha, n, w):
+        events.append(("critical", n, w))
+        return wmw_critical(alpha, n, w)
+
     learner = make_learner("constant;feature=0")
-    table = RecordingTable({(6, 6): 3, (8, 8): None})
-    with mock.patch.object(experiments, "replicate_error_counts", scored):
-        res = type2_experiment(learner, "linear-4sig", (12, 16), table, 4, 5)
-        assert res == {12: Fraction(0), 16: Fraction(1)}
-        assert events == [("score", 12), ("lookup", (6, 6)), ("score", 16), ("lookup", (8, 8))]
+    with mock.patch.object(experiments, "replicate_error_counts", scored), \
+            mock.patch.object(experiments, "wmw_critical", critical):
+        # 1/C(4,2) >= 0.05, so size 4 has no critical value and always fails.
+        res = type2_experiment(learner, "linear-4sig", (4, 12), "0.05", 4, 5)
+        assert res == {4: Fraction(1), 12: Fraction(0)}
+        assert events == [("score", 4), ("critical", 4, 2), ("score", 12), ("critical", 12, 6)]
         events.clear()
-        # A missing cell or an odd size later in the list is refused before any scoring.
-        for sizes in [(12, 20), (12, 13)]:
-            with pytest.raises(ValueError, match="no critical value|must be even"):
-                type2_experiment(learner, "linear-4sig", sizes, table, 4, 5)
+        # A bad level, or an odd size later in the list, is refused before any scoring.
+        for sizes, alpha in [((12, 16), "2"), ((12, 16), "0"), ((12, 13), "0.05")]:
+            with pytest.raises(ValueError, match="alpha must be in|must be even"):
+                type2_experiment(learner, "linear-4sig", sizes, alpha, 4, 5)
         assert events == []
 
 
 def test_type2_none_critical_always_fails():
     learner = make_learner("constant;feature=0")
-    res = type2_experiment(learner, "linear-4sig", (12,), {(6, 6): None}, 15, 5)
-    assert res[12] == Fraction(1)
+    assert wmw_critical("0.05", 4, 2) is None
+    res = type2_experiment(learner, "linear-4sig", (4,), "0.05", 15, 5)
+    assert res[4] == Fraction(1)
 
 
 def test_simulation_config_validation():

@@ -59,18 +59,21 @@ def test_constant_learner_sorted_labelings():
     n = 6
     scores = np.arange(n, dtype=float)
     data = Dataset(scores[:, None])
-    learner = ConstantLearner(scores=scores)
+    learner = ConstantLearner(feature=0)
     sorted_lab = Word.from_support(n, (3, 4, 5))
     reversed_lab = Word.from_support(n, (0, 1, 2))
     assert learner.error_counts(data, [sorted_lab])[0] == 0
     assert learner.error_counts(data, [reversed_lab])[0] == 9
 
 
-@pytest.mark.parametrize("scores", [0, [[0.0, 1.0]]])
-def test_constant_learner_rejects_non_vector_scores(scores):
-    # ConstantLearner(0) binds scores=0, not feature=0.
-    with pytest.raises(ValueError, match="1-d"):
-        ConstantLearner(scores)
+def test_constant_learner_positional_argument_is_the_feature():
+    # Feature 1 reverses feature 0, so the sorted labeling errs on every pair.
+    data = Dataset(np.column_stack([np.arange(6.0), -np.arange(6.0)]))
+    lab = Word.from_support(6, (3, 4, 5))
+    learner = ConstantLearner(1)
+    assert learner.feature == 1 and learner.name == "constant(feature=1)"
+    assert learner.error_counts(data, [lab])[0] == 9
+    assert ConstantLearner().error_counts(data, [lab])[0] == 0
 
 
 def test_constant_learner_tie_rule():

@@ -32,7 +32,7 @@ from lightcodes.words import Word, iter_words, transpose
 
 def increasing_data(n):
     scores = np.arange(n, dtype=float)
-    return Dataset(scores[:, None]), ConstantLearner(scores=scores)
+    return Dataset(scores[:, None]), ConstantLearner(feature=0)
 
 
 def test_kernel_examples():
@@ -103,11 +103,13 @@ def test_forced_exact_null_limit_raises_before_enumerating(monkeypatch):
         raise AssertionError("enumerated C(40,20) labelings")
 
     monkeypatch.setattr(lpocv, "_labeling_blocks", enumerate_anyway)
+    # A threshold of C(40,20) sends the null down the exact path.
+    monkeypatch.setattr(lpocv, "MC_EXACT_THRESHOLD", comb(40, 20))
     learner = ConstantLearner(feature=0)
     with pytest.raises(ResourceLimitError):
-        null_error_counts(learner, data, 20, 10, 0, exact=True)
+        null_error_counts(learner, data, 20, 10, 0)
     with pytest.raises(ResourceLimitError):
-        mc_null_pvalue(learner, data, 20, 0, 10, 0, exact=True)
+        mc_null_pvalue(learner, data, 20, 0, 10, 0)
 
 
 def test_order_direction_heavier_tails_than_wilcoxon():
@@ -216,7 +218,7 @@ def test_mc_null_refused_past_the_limit_before_sampling(monkeypatch):
         mc_null_pvalue(learner, data, 20, 0, 31, 0)
 
 
-def test_mc_pvalue_extremes_and_exact_mode():
+def test_mc_pvalue_extremes_and_exact_mode(monkeypatch):
     data, learner = increasing_data(6)
     # Exact mode reproduces the full-enumeration quantity.
     hist = exact_null_distribution(learner, data, 3)
@@ -224,25 +226,29 @@ def test_mc_pvalue_extremes_and_exact_mode():
         p = mc_null_pvalue(learner, data, 3, obs, 50, seed=1)
         assert p == Fraction(hist.cumulative(obs), comb(6, 3))
     assert mc_null_pvalue(learner, data, 3, 9, 50, seed=1) == 1
-    p_mc = mc_null_pvalue(learner, data, 3, 9, 50, seed=1, exact=False)
+    # A threshold of 0 sends every null down the Monte-Carlo path.
+    monkeypatch.setattr(lpocv, "MC_EXACT_THRESHOLD", 0)
+    p_mc = mc_null_pvalue(learner, data, 3, 9, 50, seed=1)
     assert p_mc == 1
 
 
-def test_mc_pvalue_add_one_correction():
+def test_mc_pvalue_add_one_correction(monkeypatch):
     data, learner = increasing_data(6)
-    p = mc_null_pvalue(learner, data, 3, -1, 37, seed=2, exact=False)
+    monkeypatch.setattr(lpocv, "MC_EXACT_THRESHOLD", 0)
+    p = mc_null_pvalue(learner, data, 3, -1, 37, seed=2)
     assert p == Fraction(1, 38)  # no draw can have errors <= -1
 
 
-def test_mc_pvalue_validity_constant_learner():
+def test_mc_pvalue_validity_constant_learner(monkeypatch):
     # P(p <= alpha) <= alpha + 3 SE over fresh null samples.
     reps, M = 400, 60
     hits = {0.01: 0, 0.05: 0, 0.1: 0}
+    monkeypatch.setattr(lpocv, "MC_EXACT_THRESHOLD", 0)
     for r in range(reps):
         data, lab = generate_data("null-gauss-1d", 8, 4, (41, r))
         learner = ConstantLearner(feature=0)
         obs = int(learner.error_counts(data, [lab])[0])
-        p = mc_null_pvalue(learner, data, 4, obs, M, seed=(41, r), exact=False)
+        p = mc_null_pvalue(learner, data, 4, obs, M, seed=(41, r))
         for alpha in hits:
             if p <= Fraction(str(alpha)):
                 hits[alpha] += 1

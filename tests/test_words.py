@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lightcodes import words
 from lightcodes.words import (
     Word,
     enumerate_words,
@@ -14,6 +15,8 @@ from lightcodes.words import (
     unrank,
     write_word_file,
 )
+
+from oracles import upward_unrank_mask
 
 
 def test_enumerate_counts():
@@ -76,6 +79,29 @@ def test_rank_unrank_roundtrip_wide():
     for w in (1, 2, 3, 4):
         for r in range(math.comb(30, w)):
             assert rank(unrank(30, w, r)) == r
+
+
+def test_unrank_matches_the_upward_search():
+    for n in range(2, 15):
+        for w in range(1, n):
+            for r in range(math.comb(n, w)):
+                assert unrank(n, w, r).mask == upward_unrank_mask(n, w, r), (n, w, r)
+
+
+@pytest.mark.parametrize("n, w", [(14, 7), (30, 15), (100, 3), (100, 97)])
+def test_unrank_makes_a_linear_number_of_comb_calls(n, w, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return math.comb(a, b)
+
+    monkeypatch.setattr(words, "comb", counted)
+    for r in (0, 1, math.comb(n, w) // 3, math.comb(n, w) - 1):
+        calls.clear()
+        word = unrank(n, w, r)
+        assert len(calls) <= n + w + 1, (r, len(calls))
+        assert rank(word) == r
 
 
 def test_unrank_out_of_range():
