@@ -134,6 +134,7 @@ def type2_experiment(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     _check_alpha(alpha)
+    sizes = tuple(sizes)  # read twice, so a generator is not used up by the check
     for size in sizes:
         if size % 2 != 0:
             raise ValueError(f"sample size {size} must be even")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -41,6 +40,7 @@ from .words import Word
 # below this.  That bounds knn's per-block vote gathers (k < n terms per
 # pair) and ridge's rounding-band recount (n float terms per entry) at 1 MiB.
 _BLOCK_ELEMENTS = 1 << 17
+_MASK64 = (1 << 64) - 1
 
 
 def bit_matrix(labelings, n: int) -> np.ndarray:
@@ -309,71 +309,59 @@ class OrderDirectionLearner(BatchedLearner):
         return kernel
 
 
+def _splitmix64(z):
+    """SplitMix64's output mixer, on a Python int or a uint64 array (which wraps)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 class RandomOrientationLearner(BatchedLearner):
     """Pseudo-random but deterministic pairwise predictions.
 
-    The canonical bit is a cryptographic hash of the training multiset
-    (rows with labels, order-independent), the unordered held-out pair of
-    rows, and a seed, so equal training information always yields the same
-    arc and the LPO table is a uniform-looking Johnson graph orientation.
+    Each row gets three 64-bit tags, h(row, 0), h(row, 1) and g(row), from
+    one SHA-256 of the seed and the row's float64 bytes.  The training key of
+    labeling y with pair {a, b} held out is the multiset hash
+    sum_(i != a, b) h(i, y_i) mod 2^64, computed as S(y) - h(a, y_a) - h(b, y_b)
+    with S(y) one sum per labeling (MSet-Add-Hash, Clarke et al., ASIACRYPT
+    2003).  The canonical bit is the low bit of
+    splitmix64(key ^ splitmix64(g_a + g_b)) (Steele, Lea & Flood, OOPSLA 2014).
+
+    Both labelings of a Johnson-graph edge hold out the same pair and train
+    on the same multiset, so they share the key and the bit: the label-switch
+    rule holds by construction.  Neither the key nor g_a + g_b depends on
+    row order, so equal training information always yields the same arc, and
+    the LPO table is a uniform-looking orientation of J(n, w).
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self.name = f"random-orientation(seed={self.seed})"
 
-    @staticmethod
-    def _row_bytes(row: np.ndarray) -> bytes:
-        return struct.pack(f"<{len(row)}d", *row)
+    def _tags(self, feats: np.ndarray) -> np.ndarray:
+        """(3, R, n) uint64 tags h(row, 0), h(row, 1), g(row) of R stacked samples."""
+        seed = self.seed.to_bytes(8, "little", signed=True)
+        samples = np.asarray(feats, dtype="<f8")
+        digests = b"".join(
+            hashlib.sha256(seed + row.tobytes()).digest()[:24] for x in samples for row in x
+        )
+        return np.frombuffer(digests, "<u8").reshape(*feats.shape[:2], 3).transpose(2, 0, 1)
 
     def pair_bit(self, data, y, low, high):
-        rows, labels = data.features, y.tolist()
-        train_entries = sorted(
-            self._row_bytes(rows[r]) + bytes([labels[r]])
-            for r in range(data.n)
-            if r != low and r != high
-        )
-        held = sorted((self._row_bytes(rows[low]), self._row_bytes(rows[high])))
-        digest = hashlib.sha256()
-        digest.update(struct.pack("<q", self.seed))
-        for entry in train_entries:
-            digest.update(entry)
-        digest.update(held[0])
-        digest.update(held[1])
-        return digest.digest()[0] & 1
+        h0, h1, g = (tag[0].tolist() for tag in self._tags(data.features[None]))
+        labels = y.tolist()
+        key = sum(h1[i] if labels[i] else h0[i] for i in range(data.n) if i not in (low, high))
+        held = _splitmix64((g[low] + g[high]) & _MASK64)
+        return _splitmix64((key & _MASK64) ^ held) & 1
 
     def pair_kernel(self, feats, lows, highs):
-        # Same digest input as pair_bit: each row's entries are sorted once and
-        # a pair's hash skips its two entries in the sorted concatenation.
-        n = feats.shape[1]
-        samples = []
-        for x, lo, hi in zip(feats, lows.tolist(), highs.tolist()):
-            rows = [self._row_bytes(row) for row in x]
-            size = len(rows[0]) + 1
-            pairs = list(zip(lo, hi))
-            held = [b"".join(sorted((rows[a], rows[b]))) for a, b in pairs]
-            samples.append((rows, pairs, held))
-        seeded = hashlib.sha256(struct.pack("<q", self.seed))
+        h0, h1, g = self._tags(feats)
+        held = _splitmix64(_at(g, lows) + _at(g, highs))[:, None]
 
         def kernel(block):
-            bits = np.zeros(block.shape[:2] + lows.shape[1:], dtype=bool)
-            for r, (rows, pairs, held) in enumerate(samples):
-                for l, y in enumerate(block[r]):
-                    entries = [row + bytes([bit]) for row, bit in zip(rows, y.tolist())]
-                    order = sorted(range(n), key=entries.__getitem__)
-                    joined = memoryview(b"".join(entries[i] for i in order))
-                    offset = [0] * n
-                    for place, i in enumerate(order):
-                        offset[i] = place * size
-                    for k in np.flatnonzero(y[lows[r]] != y[highs[r]]).tolist():
-                        a, b = sorted((offset[pairs[k][0]], offset[pairs[k][1]]))
-                        digest = seeded.copy()
-                        digest.update(joined[:a])
-                        digest.update(joined[a + size:b])
-                        digest.update(joined[b + size:])
-                        digest.update(held[k])
-                        bits[r, l, k] = digest.digest()[0] & 1
-            return bits
+            h = np.where(block, h1[:, None], h0[:, None])
+            key = h.sum(axis=2, keepdims=True) - _at(h, lows) - _at(h, highs)
+            return (_splitmix64(key ^ held) & 1).astype(bool)
 
         return kernel
 

@@ -309,6 +309,13 @@ def test_type2_none_critical_always_fails():
     assert res[4] == Fraction(1)
 
 
+def test_type2_experiment_scores_a_one_shot_iterable_of_sizes():
+    learner = make_learner("constant")
+    want = type2_experiment(learner, "linear-4sig", (12, 16), "0.05", 5, 1)
+    got = type2_experiment(learner, "linear-4sig", (s for s in (12, 16)), "0.05", 5, 1)
+    assert set(got) == {12, 16} and got == want
+
+
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig("constant", "null-gauss-1d", 10, 5, 0, 1)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -131,6 +132,18 @@ def test_random_orientation_deterministic():
     assert a == b
     c = RandomOrientationLearner(10).error_counts(data, [lab])
     assert c.shape == (1,)
+
+
+def test_random_orientation_null_is_pinned_and_near_fair_coins():
+    # Pins the per-row hash: any change to its tags, key or mixer moves these bits.
+    counts = exact_null_distribution(RandomOrientationLearner(5), gaussian_data(8, 3, 21), 4).counts
+    assert counts == (0, 0, 0, 0, 1, 4, 13, 13, 17, 7, 6, 3, 3, 3, 0, 0, 0)
+    # A uniformly random orientation gives each labeling Binomial(w(n-w), 1/2)
+    # errors, variance w(n-w)/4; the band is 20% of it (WMW's is (n+1)/3 times it).
+    for n, seed in ((12, 1), (14, 2), (16, 3)):
+        w = n // 2
+        null = exact_null_distribution(RandomOrientationLearner(seed), gaussian_data(n, 3, seed), w)
+        assert abs(null.variance() - Fraction(w * (n - w), 4)) <= Fraction(w * (n - w), 20), n
 
 
 def test_ridge_separated_data():
