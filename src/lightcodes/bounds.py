@@ -21,7 +21,7 @@ from .johnson import _check_lightness
 from .wilcoxon import critical_value, wmw_distribution
 from .words import _check_weight
 
-BOUND_KINDS = ("lower", "upper", "exact")
+BOUND_KINDS = ("lower", "upper")
 
 
 def gs_lower(n: int, w: int, W: int) -> int | None:
@@ -84,25 +84,13 @@ def assemble_table(
 def lightcode_critical(alpha, n: int, w: int, bound_kind: str) -> int | None:
     """Largest W whose bound on L(W,n,w), over C(n,w), stays below alpha.
 
-    ``bound_kind`` selects gs_lower, johnson_upper, or an exact value
-    (closed form or exhaustive search).  None when even W = 0 fails.
+    ``bound_kind`` selects gs_lower (defined while n >= 4W) or johnson_upper.
+    None when even W = 0 fails.
     """
     if bound_kind not in BOUND_KINDS:
         raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
-    total = comb(n, w)
-
-    def bounds():
-        for W in range(w * (n - w) + 1):
-            if bound_kind == "lower":
-                bound = gs_lower(n, w, W)
-                if bound is None:
-                    return
-            elif bound_kind == "upper":
-                bound = johnson_upper(n, w, W)
-            else:
-                bound = boundary_exact(n, w, W)
-                if bound is None:
-                    bound = exact_L(n, w, W)
-            yield bound
-
-    return critical_value(alpha, total, bounds())
+    if bound_kind == "lower":
+        bounds = (gs_lower(n, w, W) for W in range(min(w * (n - w), n // 4) + 1))
+    else:
+        bounds = (johnson_upper(n, w, W) for W in range(w * (n - w) + 1))
+    return critical_value(alpha, comb(n, w), bounds)

@@ -28,7 +28,7 @@ from .johnson import (
     refuse_over,
 )
 from .wilcoxon import wmw_distribution
-from .words import Word, _check_weight, enumerate_words, iter_words, rank
+from .words import Word, _check_weight, enumerate_words, iter_words, rank, unrank
 
 # C(7,3) = 35, the next size up, takes about 0.5 s at W = 1, 9 s at W = 5 and
 # 145 s at W = 2; W = 3, 4 did not finish in 300 s (2-core VM, Python 3.11).
@@ -76,10 +76,11 @@ def verify_light(code: LightCode) -> tuple[bool, Orientation | None]:
 
 
 def _certified(n: int, w: int, W: int, words: list[Word]) -> LightCode:
-    """The code with its cap-W witness; a construction's induced degrees are <= 2W."""
+    """The code on ``words`` with the cap-W witness of ``orientation_feasible``."""
     ok, witness = orientation_feasible(build_induced(JohnsonGraph(n, w), words), W)
     if not ok:
-        raise AssertionError(f"construction for (n={n}, w={w}, W={W}) is not {W}-light")
+        raise AssertionError(f"the code of {len(words)} words for (n={n}, w={w}, W={W}) "
+                             f"is not {W}-light: it fails orientation verification")
     return LightCode(n, w, W, tuple(words), witness)
 
 
@@ -188,7 +189,7 @@ def construct_graham_sloane(n: int, w: int, W: int) -> LightCode:
 
 
 def best_construction(n: int, w: int, W: int) -> LightCode:
-    """Largest code among the applicable constructions (at least a single word)."""
+    """Largest certified code among the applicable constructions (at least a single word)."""
     candidates: list[LightCode] = []
     if w == 1:
         candidates.append(construct_tournament(n, W))
@@ -201,7 +202,7 @@ def best_construction(n: int, w: int, W: int) -> LightCode:
     if n >= 4 * W and comb(n, w) <= MATERIALIZE_LIMIT:
         candidates.append(construct_graham_sloane(n, w, W))
     if not candidates:
-        candidates.append(LightCode(n, w, W, (Word((1 << w) - 1, n, w),), None))
+        candidates.append(_certified(n, w, W, [Word((1 << w) - 1, n, w)]))
     return max(candidates, key=lambda c: c.size)
 
 
@@ -261,8 +262,8 @@ def _extension_bound(W: int, slack: int, inside) -> int:
     return sum(p <= slack for p in accumulate(sorted(d - W for d in inside)))
 
 
-def exact_L(n: int, w: int, W: int, return_code: bool = False):
-    """Exact maximum size of a W-light (n,w) code, by orbital branch and bound.
+def _search(n: int, w: int, W: int, upper: int, best_ranks: list[int]) -> list[int]:
+    """The ranks of the largest W-light code, from the incumbent ``best_ranks``.
 
     One ``johnson.OrientedSet`` keeps the chosen set oriented with
     outdegrees <= W, and candidates that no longer fit alone are dropped.
@@ -271,20 +272,11 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
     (Ostrowski, Linderoth, Rossi & Smriglio 2011).  Each group lies inside
     its ancestors', so every exclusion stays closed under it; at the root
     S(n,w) is one orbit.  A node dies when ``_extension_bound`` cannot beat
-    the incumbent, seeded by the best construction; the search stops once
-    it meets ``johnson_upper``.  The code found is re-verified by
-    ``orientation_feasible``.
+    the incumbent, and the search stops once it meets ``upper``.
     """
-    _check_weight(n, w)
-    _check_lightness(W)
     total = comb(n, w)
-    refuse_over(f"C({n},{w})", total, EXACT_SEARCH_LIMIT, "exhaustive search")
-    graph = JohnsonGraph(n, w)
-    upper = johnson_upper(n, w, W)
-    best_ranks = sorted(rank(word) for word in best_construction(n, w, W).words)
-
     masks = [word.mask for word in iter_words(n, w)]
-    state = OrientedSet(total, graph.edges(), [W] * total)
+    state = OrientedSet(total, JohnsonGraph(n, w).edges(), [W] * total)
 
     def extend(candidates: list[int], cells: list[int]) -> bool:
         """Branch on orbits over ``cells``, split by each chosen word; True at ``upper``."""
@@ -310,14 +302,26 @@ def exact_L(n: int, w: int, W: int, return_code: bool = False):
             candidates = [c for c in candidates if c not in orbit]
         return False
 
-    if len(best_ranks) < upper:
-        extend(list(range(total)), [(1 << n) - 1])
-    best_size = len(best_ranks)
-    words = tuple(graph.word(r) for r in best_ranks)
-    ok, witness = orientation_feasible(build_induced(graph, best_ranks), W)
-    if not ok:
-        raise AssertionError(
-            f"exact_L(n={n}, w={w}, W={W}) found a code of size {best_size} "
-            f"that fails orientation verification"
-        )
-    return (best_size, LightCode(n, w, W, words, witness)) if return_code else best_size
+    extend(list(range(total)), [(1 << n) - 1])
+    return best_ranks
+
+
+def exact_L(n: int, w: int, W: int, return_code: bool = False):
+    """Exact maximum size of a W-light (n,w) code, by orbital branch and bound.
+
+    The incumbent is the certified ``best_construction``, returned as it is
+    when it meets ``johnson_upper``; otherwise ``_search`` tries to beat it,
+    and only a larger code it finds is certified, by ``_certified``.  The
+    words come in rank order.
+    """
+    _check_weight(n, w)
+    _check_lightness(W)
+    refuse_over(f"C({n},{w})", comb(n, w), EXACT_SEARCH_LIMIT, "exhaustive search")
+    upper = johnson_upper(n, w, W)
+    seed = best_construction(n, w, W)
+    code = LightCode(n, w, W, tuple(sorted(seed.words, key=rank)), seed.witness)
+    if code.size < upper:
+        ranks = _search(n, w, W, upper, list(map(rank, code.words)))
+        if len(ranks) > code.size:
+            code = _certified(n, w, W, [unrank(n, w, r) for r in ranks])
+    return (code.size, code) if return_code else code.size

@@ -111,10 +111,6 @@ class InducedSubgraph:
             deg[b] += 1
         return deg
 
-    def max_degree(self) -> int:
-        deg = self.degrees()
-        return max(deg.values(), default=0)
-
     def is_full(self) -> bool:
         return len(self.vertices) == self.parent.num_vertices
 
@@ -370,29 +366,6 @@ def count_w_light(orientation: Orientation, W: int) -> int:
     if not orientation.domain.is_full():
         raise ValueError("count_w_light needs an orientation of the full Johnson graph")
     return sum(1 for d in orientation._outdeg.values() if d <= W)
-
-
-def read_orientation_file(path) -> tuple[int, int, list[tuple[Word, Word]]]:
-    """Read a witness file: header line ``n w`` then ``FROMBITS -> TOBITS`` arcs."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad header, expected 'n w'")
-        n, w = int(header[0]), int(header[1])
-        arcs = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("->")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'FROM -> TO'")
-            src = Word.from_string(parts[0].strip())
-            dst = Word.from_string(parts[1].strip())
-            if (src.n, src.w) != (n, w) or (dst.n, dst.w) != (n, w):
-                raise ValueError(f"{path}:{lineno}: arc words do not match header")
-            arcs.append((src, dst))
-    return n, w, arcs
 
 
 def write_orientation_file(path, orientation: Orientation) -> None:

@@ -336,6 +336,8 @@ class RandomOrientationLearner(BatchedLearner):
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
+        if not -(1 << 63) <= self.seed < 1 << 63:
+            raise ValueError(f"random-orientation seed {seed} is outside the signed 64-bit range")
         self.name = f"random-orientation(seed={self.seed})"
 
     def _tags(self, feats: np.ndarray) -> np.ndarray:
@@ -508,29 +510,36 @@ class KnnLearner(BatchedLearner):
         return kernel
 
 
+# Spec name -> (learner class, {spec key: (keyword argument, type)}).
 LEARNER_FACTORIES = {
-    "constant": lambda params: ConstantLearner(feature=params.get("feature", 0)),
-    "order-direction": lambda params: OrderDirectionLearner(feature=params.get("feature", 0)),
-    "parity": lambda params: ParityLearner(),
-    "random-orientation": lambda params: RandomOrientationLearner(
-        seed=int(params.get("seed", 0))
-    ),
-    "ridge": lambda params: RidgeLearner(lam=float(params.get("lambda", 1.0))),
-    "knn": lambda params: KnnLearner(k=int(params.get("k", 3))),
+    "constant": (ConstantLearner, {"feature": ("feature", int)}),
+    "order-direction": (OrderDirectionLearner, {"feature": ("feature", int)}),
+    "parity": (ParityLearner, {}),
+    "random-orientation": (RandomOrientationLearner, {"seed": ("seed", int)}),
+    "ridge": (RidgeLearner, {"lambda": ("lam", float)}),
+    "knn": (KnnLearner, {"k": ("k", int)}),
 }
 
 
 def make_learner(spec: str) -> Learner:
-    """Build a learner from ``name`` or ``name;key=value,key=value``."""
+    """Build a learner from ``name`` or ``name;key=value,key=value``, each key
+    one of the learner's parameters and given at most once."""
     name, _, paramstr = spec.partition(";")
     name = name.strip()
     if name not in LEARNER_FACTORIES:
         raise ValueError(f"unknown learner {name!r}; known: {sorted(LEARNER_FACTORIES)}")
-    params = {}
+    cls, keys = LEARNER_FACTORIES[name]
+    kwargs = {}
     if paramstr.strip():
         for item in paramstr.split(","):
-            key, sep, value = item.partition("=")
+            key, sep, value = (part.strip() for part in item.partition("="))
             if not sep:
                 raise ValueError(f"bad learner parameter {item!r}")
-            params[key.strip()] = value.strip()
-    return LEARNER_FACTORIES[name](params)
+            if key not in keys:
+                raise ValueError(
+                    f"unknown parameter {key!r} for learner {name!r}; known: {sorted(keys)}")
+            arg, kind = keys[key]
+            if arg in kwargs:
+                raise ValueError(f"repeated parameter {key!r} for learner {name!r}")
+            kwargs[arg] = kind(value)
+    return cls(**kwargs)

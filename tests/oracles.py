@@ -6,7 +6,8 @@ import math
 import networkx as nx
 import numpy as np
 
-from lightcodes.johnson import JohnsonGraph, OrientedSet
+from lightcodes.johnson import JohnsonGraph, Orientation, OrientedSet
+from lightcodes.learners import Learner
 
 
 def colex_masks(n: int, w: int) -> list[int]:
@@ -135,3 +136,37 @@ def ridge_elementwise_bits(C, block) -> np.ndarray:
     n = block.shape[-1]
     bits = (block[:, :, None, :] * C[:, None]).sum(axis=-1) > 0
     return bits & (block.sum(axis=-1, keepdims=True) < n - 1)
+
+
+class CodeLearner(Learner):
+    """A learner whose LPO table is an orientation of J(n,w) built from a W-light code.
+
+    Edges inside the code follow ``code.witness``.  Edges between the code
+    and the rest point toward the code, so the outside word takes the error.
+    Every other edge points from its lower rank to its higher one.  The code
+    words then have outdegree <= W, so at least |code| labelings get at most
+    W errors.  An arc leaves the labeling that errs, as in
+    ``lpocv.orientation_of_learner``; the features are ignored.
+    """
+
+    def __init__(self, code):
+        self.n = code.n
+        self.rank = {m: r for r, m in enumerate(colex_masks(code.n, code.w))}
+        inside = code.witness.domain.vertices
+        kept = set(code.witness.arcs())
+        domain = JohnsonGraph(code.n, code.w).full_subgraph()
+        self.orientation = Orientation(domain, [
+            (a, b) in kept if a in inside and b in inside else a not in inside
+            for a, b in domain.edges
+        ])
+        self.tail = {edge: tail for edge, (tail, _) in
+                     zip(domain.edges, self.orientation.arcs())}
+        self.name = f"code({code.n},{code.w},{code.W}; {code.size} words)"
+
+    def pair_bit(self, data, y, low, high):
+        assert data.n == self.n and y[low] != y[high]
+        mask = sum(1 << i for i in np.flatnonzero(y).tolist())
+        r, s = self.rank[mask], self.rank[mask ^ (1 << low | 1 << high)]
+        errs = self.tail[min(r, s), max(r, s)] == r
+        # The learner errs on y exactly when its bit equals y[high].
+        return int(y[high]) if errs else 1 - int(y[high])

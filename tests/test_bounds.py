@@ -13,9 +13,8 @@ from lightcodes.bounds import (
     johnson_upper,
     lightcode_critical,
 )
-from lightcodes.codes import EXACT_SEARCH_LIMIT, exact_L, tau_class_sizes
-from lightcodes.johnson import ResourceLimitError
-from lightcodes.wilcoxon import q_count, wmw_critical
+from lightcodes.codes import exact_L, tau_class_sizes
+from lightcodes.wilcoxon import critical_value, q_count, wmw_critical
 
 
 def test_boundary_exact():
@@ -148,16 +147,6 @@ def test_bound_record_validation():
         BoundRecord(4, 2, 0, lower=1, upper=5, exact=6)
 
 
-def test_lightcode_critical_exact_small():
-    assert lightcode_critical(0.05, 4, 2, "exact") is None
-
-
-def test_lightcode_critical_exact_past_search_limit_is_a_resource_limit():
-    assert comb(8, 4) > EXACT_SEARCH_LIMIT
-    with pytest.raises(ResourceLimitError, match="search limit"):
-        lightcode_critical(0.05, 8, 4, "exact")
-
-
 def test_lightcode_critical_lower_matches_pigeonhole():
     # At W = 0 the lower bound is about C(n,w)/n, so the cell is set as
     # soon as 1/n-ish mass is below alpha.
@@ -171,7 +160,7 @@ def test_lightcode_critical_lower_matches_pigeonhole():
 def test_lightcode_critical_upper_not_larger_than_exact_based():
     for n, w in [(4, 2), (5, 2), (6, 1)]:
         up = lightcode_critical(0.3, n, w, "upper")
-        ex = lightcode_critical(0.3, n, w, "exact")
+        ex = critical_value(0.3, comb(n, w), (exact_L(n, w, W) for W in range(w * (n - w) + 1)))
         if ex is None:
             assert up is None
         else:

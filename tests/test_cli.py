@@ -242,6 +242,30 @@ def test_simulate_unknown_learner_or_scenario(capsys):
     assert code == 1
 
 
+BAD_LEARNER_SPECS = [
+    ("ridge;lamda=5", "unknown parameter 'lamda'"),
+    ("constant;feature=1,feature=2", "repeated parameter 'feature'"),
+    ("random-orientation;seed=9223372036854775808", "signed 64-bit range"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_LEARNER_SPECS)
+def test_simulate_rejects_a_bad_learner_spec(spec, message, capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", spec,
+                         "--n", "6", "--w", "3")
+    assert code == 1 and out == "" and err.startswith("usage error:") and message in err, err
+
+
+@pytest.mark.parametrize("spec, message", BAD_LEARNER_SPECS)
+def test_configs_file_rejects_a_bad_learner_spec(spec, message, tmp_path, capsys):
+    name, params = spec.split(";")
+    cfg = tmp_path / "configs.txt"
+    cfg.write_text(f"constant;feature=0;null-gauss-1d;7\n{name};{params};null-gauss-1d;7\n")
+    code, out, err = run(capsys, "critical", "--test", "empirical", "--configs", str(cfg),
+                         "--max-size", "2", "--reps", "5")
+    assert code == 2 and out == "" and f"{cfg}:2:" in err and message in err, err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_rejects_non_finite_ridge_penalty(value, capsys):
     code, out, err = run(capsys, "simulate", "--mode", "null", "--learner",

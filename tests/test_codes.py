@@ -146,7 +146,7 @@ def test_orbit_partial_class_keeps_degree_bound():
             for p in word.support():
                 column[p] += 1
         assert max(column) <= W + 1
-        assert code.induced_subgraph().max_degree() <= 2 * W
+        assert max(code.induced_subgraph().degrees().values(), default=0) <= 2 * W
 
 
 def test_tau():
@@ -242,7 +242,7 @@ def test_graham_sloane_class_components_are_low_degree():
     # Inside one tau class the induced degree is at most 2W.
     for n, w, W in [(8, 3, 1), (9, 4, 2)]:
         code = construct_graham_sloane(n, w, W)
-        assert code.induced_subgraph().max_degree() <= 2 * W
+        assert max(code.induced_subgraph().degrees().values(), default=0) <= 2 * W
 
 
 def test_graham_sloane_precondition():
@@ -302,6 +302,45 @@ def test_exact_L_returns_verified_code():
     assert size == code.size == 5
     ok, _ = verify_light(code)
     assert ok
+
+
+def test_exact_L_certifies_only_a_code_its_search_found(monkeypatch):
+    calls = []
+    feasible = codes.orientation_feasible
+    monkeypatch.setattr(codes, "orientation_feasible",
+                        lambda g, W: calls.append(W) or feasible(g, W))
+
+    def certifications(job, *args):
+        calls.clear()
+        job(*args)
+        return len(calls)
+
+    # (7,2,1): the orbit construction meets johnson_upper, so nothing more is checked.
+    assert certifications(exact_L, 7, 2, 1) == certifications(best_construction, 7, 2, 1)
+    # (6,3,2): the search beats the one-word fallback, and its code is certified once.
+    assert certifications(exact_L, 6, 3, 2) == certifications(best_construction, 6, 3, 2) + 1
+
+    def no_search(*args):
+        raise AssertionError("built a search state")
+
+    monkeypatch.setattr(codes, "OrientedSet", no_search)
+    size, code = exact_L(7, 2, 1, return_code=True)
+    assert size == code.size == 7 and code.witness.max_outdegree() <= 1
+    assert list(code.words) == sorted(code.words, key=codes.rank)
+
+
+def test_every_returned_code_carries_its_witness():
+    instances = [(n, w, W) for n in range(3, 10) for w in range(1, n)
+                 if comb(n, w) <= codes.EXACT_SEARCH_LIMIT for W in range(w * (n - w) + 1)]
+    assert len(instances) > 100
+    for n, w, W in instances + [(30, 15, 10), (9, 4, 3)]:
+        found = [best_construction(n, w, W)]
+        if comb(n, w) <= codes.EXACT_SEARCH_LIMIT:
+            found.append(exact_L(n, w, W, return_code=True)[1])
+        for code in found:
+            assert code.witness is not None, (n, w, W)
+            assert code.witness.domain == code.induced_subgraph()
+            assert code.witness.max_outdegree() <= W
 
 
 def _check_exact_code(size: int, code: LightCode, W: int) -> None:

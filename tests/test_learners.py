@@ -56,6 +56,27 @@ def test_make_learner_specs():
         make_learner("knn;k")
 
 
+@pytest.mark.parametrize("spec, key", [
+    ("ridge;lamda=5", "unknown parameter 'lamda'"),
+    ("knn;K=7", "unknown parameter 'K'"),
+    ("parity;seed=3", "unknown parameter 'seed'"),
+    ("constant;feature=1,feature=2", "repeated parameter 'feature'"),
+    ("knn;k=3, k=3", "repeated parameter 'k'"),
+])
+def test_make_learner_rejects_unknown_and_repeated_keys(spec, key):
+    with pytest.raises(ValueError, match=key):
+        make_learner(spec)
+
+
+def test_random_orientation_seed_is_a_signed_64_bit_integer():
+    for seed in (-(2**63), 2**63 - 1):
+        assert RandomOrientationLearner(seed).seed == seed
+        assert make_learner(f"random-orientation;seed={seed}").seed == seed
+    for seed in (-(2**63) - 1, 2**63):
+        with pytest.raises(ValueError, match="signed 64-bit range"):
+            RandomOrientationLearner(seed)
+
+
 def test_constant_learner_sorted_labelings():
     n = 6
     scores = np.arange(n, dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lightcodes import lpocv
+from lightcodes.codes import EXACT_SEARCH_LIMIT, best_construction, boundary_exact, exact_L
 from lightcodes.datagen import Dataset, generate_data
 from lightcodes.johnson import ResourceLimitError, count_w_light, outdegree
 from lightcodes.learners import (
@@ -28,6 +29,7 @@ from lightcodes.lpocv import (
 )
 from lightcodes.wilcoxon import wmw_distribution
 from lightcodes.words import Word, iter_words, transpose
+from oracles import CodeLearner
 
 
 def increasing_data(n):
@@ -293,6 +295,39 @@ def test_orientation_of_learner_arcs_match_per_pair_reference(spec):
     reference = Learner.error_counts(learner, data, words).tolist()
     assert [outdegree(orientation, word) for word in words] == reference
     assert hist.counts == histogram_from_errors(reference, n, w).counts
+
+
+def _attained_codes():
+    """(L, a code of size L) for each boundary closed form with C(n,w) <= 36 and
+    for ``exact_L`` within its limit."""
+    for n in range(3, 10):
+        for w in range(1, n):
+            if comb(n, w) > 36:
+                continue
+            for W in range(w * (n - w) + 1):
+                exact = boundary_exact(n, w, W)
+                if exact is not None:
+                    yield exact, best_construction(n, w, W)
+                elif comb(n, w) <= EXACT_SEARCH_LIMIT:
+                    yield exact_L(n, w, W, return_code=True)
+
+
+def test_a_code_learner_attains_L_on_random_data():
+    # The paper's equality: some learner makes at most W LPOCV errors on
+    # exactly L(W,n,w) labelings.  No orientation can exceed L, since the
+    # labelings of outdegree <= W always form a W-light code.
+    rng = np.random.default_rng(46)
+    checked = 0
+    for L, code in _attained_codes():
+        n, w, W = code.n, code.w, code.W
+        learner = CodeLearner(code)
+        data = Dataset(rng.standard_normal((n, 2)))
+        assert exact_null_distribution(learner, data, w).cumulative(W) == L, (n, w, W)
+        assert count_w_light(learner.orientation, W) == L, (n, w, W)
+        orientation, hist = orientation_of_learner(learner, data, w)
+        assert orientation == learner.orientation, (n, w, W)
+        checked += 1
+    assert checked > 200
 
 
 class PeekingLearner(Learner):
