@@ -255,7 +255,7 @@ def cmd_exact_l(args) -> int:
     if args.out:
         write_word_file(args.out, code.words)
         print(f"code: {args.out}")
-    if args.witness and code.witness is not None:
+    if args.witness:
         write_orientation_file(args.witness, code.witness)
         print(f"witness: {args.witness}")
     return EXIT_OK

@@ -324,8 +324,7 @@ def test_a_code_learner_attains_L_on_random_data():
         data = Dataset(rng.standard_normal((n, 2)))
         assert exact_null_distribution(learner, data, w).cumulative(W) == L, (n, w, W)
         assert count_w_light(learner.orientation, W) == L, (n, w, W)
-        orientation, hist = orientation_of_learner(learner, data, w)
-        assert orientation == learner.orientation, (n, w, W)
+        assert orientation_of_learner(learner, data, w)[0] == learner.orientation, (n, w, W)
         checked += 1
     assert checked > 200
 
