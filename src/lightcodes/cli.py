@@ -142,9 +142,14 @@ def _read_configs(path) -> list[tuple[str, str, int]]:
                 if scenario not in SCENARIOS and not scenario.startswith("csv:"):
                     raise InputFormatError(f"{path}:{lineno}: unknown scenario {scenario!r}")
                 try:
-                    entries.append((spec, scenario, int(seed)))
+                    value = int(seed)
                 except ValueError:
-                    raise InputFormatError(f"{path}:{lineno}: bad seed {seed!r}") from None
+                    value = -1
+                if value < 0:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: bad seed {seed!r}, expected a non-negative integer"
+                    )
+                entries.append((spec, scenario, value))
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     if not entries:

@@ -3,6 +3,9 @@
 Every generator is deterministic given its seed; seeds may be ints or
 tuples of ints (anything numpy's SeedSequence accepts), so callers can
 derive independent per-replication streams as (master seed, index).
+``_replicate_rngs`` derives replicates' ``default_rng`` states in vectorized
+SeedSequence -> PCG64 passes, without a generator per replicate, so
+replicate r draws exactly what ``default_rng((*entropy, r))`` would.
 """
 
 from __future__ import annotations
@@ -60,16 +63,22 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _sorted_labeling(n: int, w: int) -> np.ndarray:
+    """The (n,) bool row of w ones, then n - w zeros, that labelings permute."""
+    _check_weight(n, w)
+    return np.arange(n) < w
+
+
 def _random_labeling(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
     """A uniform weight-w labeling as an (n,) bool row."""
-    _check_weight(n, w)
-    return rng.permutation(np.arange(n) < w)
+    return rng.permutation(_sorted_labeling(n, w))
 
 
-def _draw(scenario: str, rng: np.random.Generator, n: int, w: int):
+def _draw(scenario: str, rng: np.random.Generator, sorted_labeling: np.ndarray):
     """One synthetic sample from ``rng``: (features, labeling as an (n,) uint8 row)."""
-    bits = _random_labeling(rng, n, w)
+    bits = rng.permutation(sorted_labeling)
     ones, zeros = bits.nonzero()[0], (~bits).nonzero()[0]
+    n = len(bits)
 
     if scenario in ("null-gauss-1d", "null-gauss-10d"):
         d = 1 if scenario.endswith("1d") else 10
@@ -97,8 +106,100 @@ def _draw(scenario: str, rng: np.random.Generator, n: int, w: int):
     return feats, bits.view(np.uint8)
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (numpy/random/src/pcg64/pcg64.h); NEP 19 keeps both streams fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants, as (steps, 1) uint32 columns, of ``steps``
+    successive calls of SeedSequence's running hash."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One hash step per row of ``values``, each with its own constants."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+# Replicate states are derived this many at a time, so the Python ints they
+# pass through stay few whatever ``reps`` is.
+_SEED_BLOCK = 64
+
+
+def _replicate_rngs(entropy: tuple, reps: int):
+    """Yield, for r < ``reps``, a Generator that draws what
+    ``np.random.default_rng((*entropy, r))`` draws.
+
+    SeedSequence's mixing runs on a block of replicates at once, one column
+    per replicate, and PCG64's seeding on Python ints; one Generator is
+    reused, its state set per replicate, so each yielded generator must be
+    drawn from before the next is taken.  The entropy is coerced by
+    SeedSequence's own coercion, so a seed numpy rejects (``1.5``, ``-1``)
+    raises the same error, at the first replicate.
+    """
+    # Imported here: commands that never draw leave numpy.random unloaded.
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    words = _coerce_to_uint32_array(entropy)
+    # Every replicate's entropy is words + (r,), zero-padded to the pool size.
+    rows = max(_POOL_SIZE, len(words) + 1)
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * (rows - _POOL_SIZE))
+    out_xor, out_mult = _hash_consts(_INIT_B, _MULT_B, 8)
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set per replicate
+    bit_generator = rng.bit_generator
+    for start in range(0, reps, _SEED_BLOCK):
+        index = np.arange(start, min(reps, start + _SEED_BLOCK), dtype=np.uint32)
+        table = np.zeros((rows, len(index)), dtype=np.uint32)
+        table[:len(words)] = words[:, None]
+        table[len(words)] = index
+        # mix_entropy: hash the first words into the pool, mix every pool
+        # word into every other, then mix each further word into all four.
+        pool = _hashmix(table[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+        step = _POOL_SIZE
+        for src in range(_POOL_SIZE):
+            dst = [i for i in range(_POOL_SIZE) if i != src]
+            hashed = _hashmix(pool[src], xor[step:step + 3], mult[step:step + 3])
+            pool[dst] = _mix(pool[dst], hashed)
+            step += 3
+        for word in table[_POOL_SIZE:]:
+            hashed = _hashmix(word, xor[step:step + _POOL_SIZE], mult[step:step + _POOL_SIZE])
+            pool = _mix(pool, hashed)
+            step += _POOL_SIZE
+        # generate_state(4, np.uint64): eight words from the cycled pool,
+        # paired low word first.
+        state = _hashmix(np.tile(pool, (2, 1)), out_xor, out_mult).astype(np.uint64)
+        seeds = (state[0::2] | state[1::2] << np.uint64(32)).tolist()
+        for hi, lo, inc_hi, inc_lo in zip(*seeds):
+            # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps around += seed.
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def _sampler(scenario: str, n: int, w: int):
-    """``draw(seed) -> (features, 0/1 row)`` for one (scenario, n, w) cell.
+    """``draw(rng) -> (features, 0/1 row)`` for one (scenario, n, w) cell.
 
     A ``csv:`` file is read here, once; each draw then only draws its
     labeling, when the file has no label column.
@@ -107,7 +208,8 @@ def _sampler(scenario: str, n: int, w: int):
         return _csv_sampler(scenario[4:], n, w)
     if scenario not in SCENARIOS:
         raise InputFormatError(f"unknown scenario {scenario!r}")
-    return lambda seed: _draw(scenario, np.random.default_rng(seed), n, w)
+    sorted_labeling = _sorted_labeling(n, w)
+    return lambda rng: _draw(scenario, rng, sorted_labeling)
 
 
 def _sample(feats: np.ndarray, row: np.ndarray) -> tuple[Dataset, Word]:
@@ -124,7 +226,7 @@ def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
     emits the label-leak column plus a fair coin column.  ``csv:<path>``
     reads the documented CSV format instead of sampling features.
     """
-    return _sample(*_sampler(scenario, n, w)(seed))
+    return _sample(*_sampler(scenario, n, w)(np.random.default_rng(seed)))
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -166,7 +268,7 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _csv_sampler(path, n: int | None, w: int | None):
-    """``draw(seed)`` over one CSV file, read and checked once (see ``load_csv``)."""
+    """``draw(rng)`` over one CSV file, read and checked once (see ``load_csv``)."""
     matrix, labels = _read_csv(path)
     rows_n = matrix.shape[0]
     if n is not None and n != rows_n:
@@ -177,12 +279,10 @@ def _csv_sampler(path, n: int | None, w: int | None):
             raise InputFormatError(
                 f"{path}: label column has weight {file_w}, expected w={w}"
             )
-        return lambda seed: (matrix, labels)
+        return lambda rng: (matrix, labels)
     if w is None:
         raise InputFormatError(f"{path}: no label column and no weight given")
-    return lambda seed: (
-        matrix, _random_labeling(np.random.default_rng(seed), rows_n, w).view(np.uint8)
-    )
+    return lambda rng: (matrix, _random_labeling(rng, rows_n, w).view(np.uint8))
 
 
 def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
@@ -192,4 +292,4 @@ def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
     must then match); without one a uniform weight-``w`` labeling is drawn
     from ``seed``.
     """
-    return _sample(*_csv_sampler(path, n, w)(seed))
+    return _sample(*_csv_sampler(path, n, w)(np.random.default_rng(seed)))

@@ -6,7 +6,9 @@ scored as stacks of samples, block by block.  Critical values are read
 off the replication histogram exactly as for the analytic tables: the
 largest error count whose empirical frequency stays strictly below the
 level.  Per-replication seeds derive from (config seed, cell, index) so
-results are independent of execution order.
+results are independent of execution order; replicate r's stream is
+``default_rng((seed, n, w, r))`` bit for bit, its state derived with the
+cell's other replicates in vectorized passes (``datagen._replicate_rngs``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .datagen import _check_finite, _sampler
+from .datagen import _check_finite, _replicate_rngs, _sampler
 from .learners import Learner, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import _check_alpha, critical_value, wmw_critical
@@ -62,7 +64,7 @@ def replicate_error_counts(
     its count depends on neither ``reps`` nor the block it is scored in.
     """
     seed_base = (seed,) if np.isscalar(seed) else tuple(seed)
-    samples = map(_sampler(scenario, n, w), (seed_base + (n, w, r) for r in range(reps)))
+    samples = map(_sampler(scenario, n, w), _replicate_rngs(seed_base + (n, w), reps))
     out = np.empty(reps, dtype=np.int64)
     if not reps:
         return out

@@ -30,10 +30,25 @@ def _normalized(name: str) -> str:
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
-def test_workflow_runs_the_documented_tier1_command():
+def _tier1_command() -> str:
     roadmap = (ROOT / "ROADMAP.md").read_text()
     (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M)
-    assert command in _run_steps()
+    return command
+
+
+def test_workflow_runs_the_documented_tier1_command():
+    assert _tier1_command() in _run_steps()
+
+
+def test_workflow_also_runs_tier1_on_the_declared_numpy_floor():
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', PYPROJECT)
+    (entries,) = re.findall(r"^\s+numpy: \[(.*)\]$", WORKFLOW, re.M)
+    assert re.findall(r'"([^"]+)"', entries) == ["latest", f"{floor}.*"]
+    steps = _run_steps()
+    (pin,) = [i for i, cmd in enumerate(steps) if "numpy==${{ matrix.numpy }}" in cmd]
+    (extra,) = [i for i, cmd in enumerate(steps) if ".[test]" in cmd]
+    # The pin goes after the test extra, which would otherwise upgrade numpy again.
+    assert extra < pin < steps.index(_tier1_command())
 
 
 def test_workflow_installs_the_test_extra():

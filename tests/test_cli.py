@@ -266,6 +266,15 @@ def test_configs_file_rejects_a_bad_learner_spec(spec, message, tmp_path, capsys
     assert code == 2 and out == "" and f"{cfg}:2:" in err and message in err, err
 
 
+@pytest.mark.parametrize("seed", ["-3", "x", "1.5"])
+def test_configs_file_rejects_a_bad_seed_by_line(seed, tmp_path, capsys):
+    cfg = tmp_path / "configs.txt"
+    cfg.write_text(f"constant;feature=0;null-gauss-1d;7\nconstant;feature=0;null-gauss-1d;{seed}\n")
+    code, out, err = run(capsys, "critical", "--test", "empirical", "--configs", str(cfg),
+                         "--max-size", "2", "--reps", "5")
+    assert code == 2 and out == "" and f"{cfg}:2: bad seed {seed!r}" in err, err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_rejects_non_finite_ridge_penalty(value, capsys):
     code, out, err = run(capsys, "simulate", "--mode", "null", "--learner",

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightcodes import datagen, experiments
@@ -232,6 +232,63 @@ def test_replicate_counts_equal_the_per_pair_loop(draw):
     want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
     assert got.dtype == np.int64 and got.tolist() == want, (spec, scenario, n, w)
     assert head.tolist() == want[:-1]
+
+
+# Seed words: small values, the 32- and 64-bit word boundaries, multi-word ints
+# and numpy integers.
+SEED_WORDS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 5]),
+    st.integers(0, 2**96),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.integers(0, 2**63 - 1).map(np.int64),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(entropy=st.lists(SEED_WORDS, max_size=6).map(tuple), reps=st.integers(0, 5))
+@example(entropy=(), reps=3)
+@example(entropy=(0,), reps=2)
+@example(entropy=(2**32 - 1,), reps=2)
+@example(entropy=(2**32,), reps=2)
+@example(entropy=(2**64 + 7, 1), reps=2)
+@example(entropy=(1, 2, 3), reps=2)  # with r: four words, the pool is just filled
+@example(entropy=(1, 2, 3, 4, 5, 6), reps=2)  # past the pool: each extra word mixed in
+@example(entropy=(5, 0), reps=0)
+def test_replicate_rngs_draw_the_default_rng_streams(entropy, reps):
+    got = 0
+    for r, rng in enumerate(datagen._replicate_rngs(entropy, reps)):
+        want = np.random.default_rng((*entropy, r))
+        assert rng.bit_generator.state == want.bit_generator.state, (entropy, r)
+        assert rng.standard_normal() == want.standard_normal()
+        assert rng.integers(0, 10**9, size=3).tolist() == want.integers(0, 10**9, size=3).tolist()
+        assert rng.permutation(9).tolist() == want.permutation(9).tolist()
+        got += 1
+    assert got == reps
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (1.5, TypeError, "seed must be integer"),
+    ((1, 2.0), TypeError, "seed must be integer"),
+    (-1, ValueError, "expected non-negative integer"),
+])
+def test_replicate_counts_reject_the_seeds_numpy_rejects(seed, error, message):
+    learner = make_learner("constant")
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    with pytest.raises(error, match=f"^{message}$"):
+        np.random.default_rng(entropy + (6, 3, 0))
+    with pytest.raises(error, match=f"^{message}$"):
+        replicate_error_counts(learner, "null-gauss-1d", 6, 3, 2, seed)
+
+
+def test_replicate_counts_accept_the_seeds_numpy_accepts():
+    learner = make_learner("order-direction")
+    assert np.array_equal(replicate_error_counts(learner, "null-gauss-1d", 8, 4, 6, True),
+                          replicate_error_counts(learner, "null-gauss-1d", 8, 4, 6, 1))
+    seed = (2**70, 3)
+    samples = [generate_data("null-gauss-1d", 8, 4, seed + (8, 4, r)) for r in range(6)]
+    want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
+    assert replicate_error_counts(learner, "null-gauss-1d", 8, 4, 6, seed).tolist() == want
 
 
 @pytest.mark.parametrize("label", [False, True])
