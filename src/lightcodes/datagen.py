@@ -1,8 +1,8 @@
 """Synthetic data scenarios and CSV ingestion for the simulation harness.
 
-Every generator is deterministic given its seed; seeds may be ints or
-tuples of ints (anything numpy's SeedSequence accepts), so callers can
-derive independent per-replication streams as (master seed, index).
+Every generator is deterministic given its seed; a seed is an int or a
+tuple of ints, checked by ``_seed_words``, so callers can derive
+independent per-replication streams as (master seed, index).
 ``_replicate_rngs`` derives replicates' ``default_rng`` states in vectorized
 SeedSequence -> PCG64 passes, without a generator per replicate, so
 replicate r draws exactly what ``default_rng((*entropy, r))`` would.
@@ -11,6 +11,7 @@ replicate r draws exactly what ``default_rng((*entropy, r))`` would.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,20 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+
+def _seed_words(seed) -> tuple[int, ...]:
+    """A seed, an int or a tuple (or list) of ints, as a tuple of ints.
+
+    Each word goes through ``operator.index`` before numpy sees it: numpy's
+    own coercion would read ``'7'`` as 7 and ``'0x10'`` as 16.  A word numpy
+    rejects (a negative one) still raises numpy's ``ValueError`` when drawn.
+    """
+    words = seed if isinstance(seed, (tuple, list)) else (seed,)
+    try:
+        return tuple(operator.index(word) for word in words)
+    except TypeError:
+        raise TypeError("seed must be integer") from None
 
 
 def _sorted_labeling(n: int, w: int) -> np.ndarray:
@@ -149,9 +164,9 @@ def _replicate_rngs(entropy: tuple, reps: int):
     SeedSequence's mixing runs on a block of replicates at once, one column
     per replicate, and PCG64's seeding on Python ints; one Generator is
     reused, its state set per replicate, so each yielded generator must be
-    drawn from before the next is taken.  The entropy is coerced by
-    SeedSequence's own coercion, so a seed numpy rejects (``1.5``, ``-1``)
-    raises the same error, at the first replicate.
+    drawn from before the next is taken.  ``entropy`` holds ``_seed_words``'
+    ints, split into uint32 words as SeedSequence splits them, so a negative
+    one raises numpy's error, at the first replicate.
     """
     # Imported here: commands that never draw leave numpy.random unloaded.
     from numpy.random.bit_generator import _coerce_to_uint32_array
@@ -226,7 +241,7 @@ def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
     emits the label-leak column plus a fair coin column.  ``csv:<path>``
     reads the documented CSV format instead of sampling features.
     """
-    return _sample(*_sampler(scenario, n, w)(np.random.default_rng(seed)))
+    return _sample(*_sampler(scenario, n, w)(np.random.default_rng(_seed_words(seed))))
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:

@@ -19,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .datagen import _check_finite, _replicate_rngs, _sampler
+from .datagen import _check_finite, _replicate_rngs, _sampler, _seed_words
 from .learners import Learner, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import _check_alpha, critical_value, wmw_critical
@@ -63,8 +63,7 @@ def replicate_error_counts(
     Replication r scores ``generate_data(scenario, n, w, seed + (n, w, r))``;
     its count depends on neither ``reps`` nor the block it is scored in.
     """
-    seed_base = (seed,) if np.isscalar(seed) else tuple(seed)
-    samples = map(_sampler(scenario, n, w), _replicate_rngs(seed_base + (n, w), reps))
+    samples = map(_sampler(scenario, n, w), _replicate_rngs(_seed_words(seed) + (n, w), reps))
     out = np.empty(reps, dtype=np.int64)
     if not reps:
         return out

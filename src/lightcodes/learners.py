@@ -91,7 +91,7 @@ def _differing_pairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-sample gather along the last axis: (R, ..., n) at (R, K) -> (R, ..., K).
+    """Per-sample gather along the last axis: (R, ..., n) at (R, *K) -> (R, ..., *K).
 
     The sample axis is folded into the last one, so one flat ``take`` serves
     every sample (``take_along_axis`` is several times slower here).  One
@@ -101,8 +101,8 @@ def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if R == 1:
         return a.take(idx[0], axis=-1)
     rows = a.reshape(R, -1, n).transpose(1, 0, 2).reshape(-1, R * n)
-    got = rows.take(idx + n * np.arange(R)[:, None], axis=1)
-    return got.transpose(1, 0, 2).reshape(a.shape[:-1] + idx.shape[1:])
+    got = rows.take(idx + n * np.arange(R).reshape((R,) + (1,) * (idx.ndim - 1)), axis=1)
+    return got.swapaxes(0, 1).reshape(a.shape[:-1] + idx.shape[1:])
 
 
 def pair_errors(learner: "Learner", feats: np.ndarray, mats: np.ndarray, lows, highs):
@@ -467,45 +467,40 @@ class KnnLearner(BatchedLearner):
         self.k = int(k)
         self.name = f"knn(k={self.k})"
 
-    def _neighbor_table(self, feats: np.ndarray) -> np.ndarray:
-        """table[s, i, j] = the k nearest training rows to i of stacked sample s
-        when {i, j} is held out."""
+    def _held_out_neighbors(self, feats: np.ndarray, lows, highs):
+        """Both ends' k nearest training rows, as two neighbor-major (R, k, K)
+        arrays in no set order, for pairs (lows, highs) (R, K) of R stacked samples."""
         R, n, d = feats.shape
         k = self.k
         if k > n - 2:
             raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
-        refuse_over(f"bytes of the knn neighbor tables at n={n}", 8 * R * n * n * max(d, k))
+        refuse_over(f"bytes of the knn distance arrays at n={n}", 8 * R * n * n * max(d, k))
         diff = feats[:, :, None, :] - feats[:, None, :, :]
         sq = np.square(diff, out=diff).sum(axis=3)
         del diff
         order = np.argsort(sq, axis=2, kind="stable")
         near = order[order != np.arange(n)[:, None]].reshape(R, n, n - 1)[:, :, : k + 1]
-        # Holding out j drops it from i's k+1 nearest; otherwise the first k stay.
-        table = np.repeat(near[:, :, None, :k], n, axis=2)
-        skip = np.arange(k) + (np.arange(k) >= np.arange(k + 1)[:, None])
-        table[np.arange(R)[:, None, None], np.arange(n)[:, None], near] = near[:, :, skip]
-        return table
+        near = near.transpose(0, 2, 1)  # near[s, m, i]: row i's m-th nearest, from 0
+
+        def held_out(a, b):
+            # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
+            rows = _at(near, a)
+            return np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
+
+        return held_out(lows, highs), held_out(highs, lows)
 
     def pair_bit(self, data, y, low, high):
-        table = self._neighbor_table(data.features[None])[0]
-        s_low = int(y[table[low, high]].sum())
-        s_high = int(y[table[high, low]].sum())
-        return int(s_low > s_high)
+        pair = np.array([[low]]), np.array([[high]])
+        near_low, near_high = self._held_out_neighbors(data.features[None], *pair)
+        return int(y[near_low[0, :, 0]].sum() > y[near_high[0, :, 0]].sum())
 
     def pair_kernel(self, feats, lows, highs):
-        table = self._neighbor_table(feats)
-        R, K = lows.shape
-        s = np.arange(R)[:, None]
-        # Neighbor-major, so each vote sum adds k contiguous (R, L, K) slabs.
-        near_low = table[s, lows, highs].transpose(0, 2, 1).reshape(R, -1)
-        near_high = table[s, highs, lows].transpose(0, 2, 1).reshape(R, -1)
+        near_low, near_high = self._held_out_neighbors(feats, lows, highs)
 
         def kernel(block):
-            votes = (R, block.shape[1], self.k, K)
-            return (
-                _at(block, near_low).reshape(votes).sum(axis=2, dtype=np.int64)
-                > _at(block, near_high).reshape(votes).sum(axis=2, dtype=np.int64)
-            )
+            # (R, L, k, K) votes, so each sum adds k contiguous (R, L, K) slabs.
+            return (_at(block, near_low).sum(axis=2, dtype=np.int64)
+                    > _at(block, near_high).sum(axis=2, dtype=np.int64))
 
         return kernel
 

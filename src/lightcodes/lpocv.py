@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, _seed_words
 from .johnson import JohnsonGraph, Orientation, refuse_over
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
@@ -83,6 +83,7 @@ def sample_labelings(n: int, w: int, count: int, seed) -> np.ndarray:
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     refuse_over(f"bytes of {count} labelings of n={n}", count * n)
+    seed = _seed_words(seed)
     out = np.zeros((count, n), dtype=np.uint8)
     out[:, :w] = 1
     for b, start in enumerate(range(0, count, _ENUM_BLOCK_ROWS)):

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from lightcodes import experiments, lpocv
 from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
 from lightcodes.words import Word, enumerate_words, read_word_file, write_word_file
+from oracles import distance_two_pairs
 
 
 def run(capsys, *argv):
@@ -275,6 +277,18 @@ def test_configs_file_rejects_a_bad_seed_by_line(seed, tmp_path, capsys):
     assert code == 2 and out == "" and f"{cfg}:2: bad seed {seed!r}" in err, err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("constant;feature=0;null-gauss-1d", "expected 'learner;params;scenario;seed'"),
+    ("constant;feature=0;null-gauss-3d;7", "unknown scenario 'null-gauss-3d'"),
+])
+def test_configs_file_rejects_a_bad_line_by_line(line, message, tmp_path, capsys):
+    cfg = tmp_path / "configs.txt"
+    cfg.write_text(f"constant;feature=0;null-gauss-1d;7\n{line}\n")
+    code, out, err = run(capsys, "critical", "--test", "empirical", "--configs", str(cfg),
+                         "--max-size", "2", "--reps", "5")
+    assert code == 2 and out == "" and f"{cfg}:2: {message}" in err, err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_rejects_non_finite_ridge_penalty(value, capsys):
     code, out, err = run(capsys, "simulate", "--mode", "null", "--learner",
@@ -394,6 +408,23 @@ def test_exact_l_command(tmp_path, capsys):
     assert len(read_word_file(out)) == 2
     code, _, err = run(capsys, "exact-l", "--n", "10", "--w", "5", "--W", "1")
     assert code == 3 and "24" in err
+
+
+@pytest.mark.parametrize("n, w, W, size", [(6, 3, 2, 11), (7, 2, 1, 7)])  # search, closed form
+def test_exact_l_writes_a_witness_of_its_code(n, w, W, size, tmp_path, capsys):
+    out, wit = tmp_path / "code.txt", tmp_path / "wit.txt"
+    code, stdout, err = run(capsys, "exact-l", "--n", str(n), "--w", str(w), "--W", str(W),
+                            "--out", str(out), "--witness", str(wit))
+    assert code == 0 and f": {size}\n" in stdout and f"witness: {wit}" in stdout, err
+    masks = [word.mask for word in read_word_file(out)]
+    header, *lines = wit.read_text().splitlines()
+    assert header == f"{n} {w}" and len(masks) == size
+    arcs = [tuple(Word.from_string(bits).mask for bits in line.split(" -> ")) for line in lines]
+    # Every induced edge once, in one direction, and no other arc.
+    assert sorted(map(sorted, arcs)) == sorted(map(sorted, distance_two_pairs(masks)))
+    assert max(Counter(src for src, _ in arcs).values()) <= W
+    code, stdout, _ = run(capsys, "verify", "--code", str(out), "--W", str(W))
+    assert code == 0 and "feasible: yes" in stdout
 
 
 def test_exact_l_rejects_negative_W(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +20,7 @@ from lightcodes.experiments import (
     type2_experiment,
 )
 from lightcodes.learners import Learner, make_learner
+from lightcodes.lpocv import sample_labelings
 from lightcodes.wilcoxon import wmw_critical
 
 
@@ -149,6 +151,16 @@ def test_load_csv_errors(tmp_path):
     path.write_text("f1,label\n1.0,1\n2.0,0\n")
     with pytest.raises(InputFormatError):
         load_csv(path, w=2)
+    for text, kwargs, message in [
+        ("f1,label\n", {}, "no data rows"),
+        ("f1,f2\n1.0,2.0\n3.0\n", {"w": 1}, ":3: expected 2 columns"),
+        ("f1,label\n1.0,1\ninf,0\n", {}, "non-finite feature values"),
+        ("f1,label\n1.0,1\n2.0,0\n", {"n": 3}, "file has 2 rows, expected n=3"),
+        ("f1\n1.0\n2.0\n", {}, "no label column and no weight given"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}.*{message}$"):
+            load_csv(path, **kwargs)
 
 
 def test_critical_from_counts_strictness():
@@ -289,6 +301,25 @@ def test_replicate_counts_accept_the_seeds_numpy_accepts():
     samples = [generate_data("null-gauss-1d", 8, 4, seed + (8, 4, r)) for r in range(6)]
     want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
     assert replicate_error_counts(learner, "null-gauss-1d", 8, 4, 6, seed).tolist() == want
+
+
+@pytest.mark.parametrize("seed", ["7", "0x10", b"7", ("7", 1), (7, 1.0)])
+def test_seeds_are_ints_or_tuples_of_ints(seed):
+    # numpy's coercion would read the strings and bytes as numbers.
+    learner = make_learner("constant")
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        generate_data("null-gauss-1d", 6, 3, seed)
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        replicate_error_counts(learner, "null-gauss-1d", 6, 3, 2, seed)
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        sample_labelings(6, 3, 2, seed)
+
+
+def test_integer_seed_words_keep_their_streams():
+    want = generate_data("null-gauss-1d", 6, 3, (7, 1))[0].features
+    for seed in ((np.int64(7), 1), [7, True]):
+        assert np.array_equal(generate_data("null-gauss-1d", 6, 3, seed)[0].features, want)
+    assert np.array_equal(sample_labelings(6, 3, 9, np.uint8(5)), sample_labelings(6, 3, 9, (5,)))
 
 
 @pytest.mark.parametrize("label", [False, True])

@@ -266,6 +266,19 @@ def test_min_max_outdegree():
     assert min_max_outdegree(build_induced(g, [0, 1])) == 1
 
 
+def test_min_max_outdegree_scans_past_the_edge_density():
+    # A K5 of J(18,2) (the words {0, x}) plus six isolated words: 10 edges on
+    # 11 vertices start the scan at ceil(10/11) = 1, but the K5 needs 2.
+    g = JohnsonGraph(18, 2)
+    words = [Word.from_support(18, [0, x]) for x in range(1, 6)]
+    words += [Word.from_support(18, [x, x + 1]) for x in range(6, 18, 2)]
+    sub = build_induced(g, words)
+    assert (len(sub.edges), len(sub.vertices)) == (10, 11)
+    masks = [word.mask for word in words]
+    assert not nx_orientable(masks, 1) and nx_orientable(masks, 2)
+    assert min_max_outdegree(sub) == 2
+
+
 def test_min_max_outdegree_matches_density():
     # Threshold equals max over sub-subsets of ceil(|E|/|V|); brute on small graphs.
     rng = np.random.default_rng(3)

@@ -382,9 +382,14 @@ def test_knn_neighbor_table_matches_loop_oracle(k):
     for n in range(k + 2, 41):
         # Few distinct values: duplicate rows and tied distances throughout.
         X = rng.integers(0, 3, (n, 2)).astype(float) if n % 2 else rng.standard_normal((n, 3))
-        table = KnnLearner(k)._neighbor_table(X[None])[0]
-        off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(table[off], knn_neighbor_table(X, k)[off]), (k, n)
+        # Every off-diagonal (i, j) of both samples, the second in reverse row order.
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        feats = np.stack([X, X[::-1]])
+        got = KnnLearner(k)._held_out_neighbors(feats, np.stack([i, i]), np.stack([j, j]))
+        for s, x in enumerate(feats):
+            want = knn_neighbor_table(x, k)
+            for near, a, b in zip(got, (i, j), (j, i)):
+                assert np.array_equal(np.sort(near[s], axis=0), np.sort(want[a, b], axis=1).T), (k, n)
 
 
 def random_dataset(spec, n, seed):
