@@ -65,15 +65,10 @@ class Dataset:
 
 
 def _seed_words(seed) -> tuple[int, ...]:
-    """A seed, an int or a tuple (or list) of ints, as a tuple of ints.
-
-    Each word goes through ``operator.index`` before numpy sees it: numpy's
-    own coercion would read ``'7'`` as 7 and ``'0x10'`` as 16.  A word numpy
-    rejects (a negative one) still raises numpy's ``ValueError`` when drawn.
-    """
-    words = seed if isinstance(seed, (tuple, list)) else (seed,)
+    """A seed, an int or a tuple of ints, as a tuple of ints: each word goes
+    through ``operator.index`` first, as numpy's own coercion reads ``'7'`` as 7."""
     try:
-        return tuple(operator.index(word) for word in words)
+        return tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
     except TypeError:
         raise TypeError("seed must be integer") from None
 

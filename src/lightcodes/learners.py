@@ -481,28 +481,20 @@ class KnnLearner(BatchedLearner):
         order = np.argsort(sq, axis=2, kind="stable")
         near = order[order != np.arange(n)[:, None]].reshape(R, n, n - 1)[:, :, : k + 1]
         near = near.transpose(0, 2, 1)  # near[s, m, i]: row i's m-th nearest, from 0
-
-        def held_out(a, b):
-            # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
-            rows = _at(near, a)
-            return np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
-
-        return held_out(lows, highs), held_out(highs, lows)
+        # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
+        return tuple(np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
+                     for rows, b in ((_at(near, lows), highs), (_at(near, highs), lows)))
 
     def pair_bit(self, data, y, low, high):
         pair = np.array([[low]]), np.array([[high]])
-        near_low, near_high = self._held_out_neighbors(data.features[None], *pair)
-        return int(y[near_low[0, :, 0]].sum() > y[near_high[0, :, 0]].sum())
+        lo, hi = self._held_out_neighbors(data.features[None], *pair)
+        return int(y[lo[0, :, 0]].sum() > y[hi[0, :, 0]].sum())
 
     def pair_kernel(self, feats, lows, highs):
         near_low, near_high = self._held_out_neighbors(feats, lows, highs)
-
-        def kernel(block):
-            # (R, L, k, K) votes, so each sum adds k contiguous (R, L, K) slabs.
-            return (_at(block, near_low).sum(axis=2, dtype=np.int64)
-                    > _at(block, near_high).sum(axis=2, dtype=np.int64))
-
-        return kernel
+        # (R, L, k, K) votes, so each sum adds k contiguous (R, L, K) slabs.
+        return lambda block: (_at(block, near_low).sum(axis=2, dtype=np.int64)
+                              > _at(block, near_high).sum(axis=2, dtype=np.int64))
 
 
 # Spec name -> (learner class, {spec key: (keyword argument, type)}).
