@@ -300,6 +300,7 @@ def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
 
     With a label column the file's labeling is used (a requested ``w``
     must then match); without one a uniform weight-``w`` labeling is drawn
-    from ``seed``.
+    from ``seed``, or from fresh entropy when it is None.
     """
-    return _sample(*_csv_sampler(path, n, w)(np.random.default_rng(seed)))
+    rng = np.random.default_rng(None if seed is None else _seed_words(seed))
+    return _sample(*_csv_sampler(path, n, w)(rng))

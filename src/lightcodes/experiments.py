@@ -47,8 +47,8 @@ class SimulationConfig:
 
 
 # Samples per block are capped so that samples x n x max(pairs, n x d) stays
-# below this: a sample's largest kernel temporaries are the (pairs, n) rows of
-# ridge and knn and knn's (n, n, d) distance tensor.  As float64 the cap is
+# below this: a sample's largest kernel temporaries are ridge's (pairs, n) pair
+# rows and knn's (n, n, d) distance tensor.  As float64 the cap is
 # 128 KiB, glibc's default mmap threshold; a larger temporary is page-faulted
 # in afresh on each block, so stacking two n = 40 ridge samples past it costs
 # more than scoring them one at a time.

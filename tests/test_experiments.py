@@ -304,9 +304,13 @@ def test_replicate_counts_accept_the_seeds_numpy_accepts():
 
 
 @pytest.mark.parametrize("seed", ["7", "0x10", b"7", ("7", 1), (7, 1.0)])
-def test_seeds_are_ints_or_tuples_of_ints(seed):
+def test_seeds_are_ints_or_tuples_of_ints(seed, tmp_path):
     # numpy's coercion would read the strings and bytes as numbers.
     learner = make_learner("constant")
+    path = tmp_path / "d.csv"
+    path.write_text("f1\n1.0\n2.0\n3.0\n4.0\n")
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        load_csv(path, w=2, seed=seed)
     with pytest.raises(TypeError, match="^seed must be integer$"):
         generate_data("null-gauss-1d", 6, 3, seed)
     with pytest.raises(TypeError, match="^seed must be integer$"):

@@ -389,7 +389,8 @@ def test_knn_neighbor_table_matches_loop_oracle(k):
         for s, x in enumerate(feats):
             want = knn_neighbor_table(x, k)
             for near, a, b in zip(got, (i, j), (j, i)):
-                assert np.array_equal(np.sort(near[s], axis=0), np.sort(want[a, b], axis=1).T), (k, n)
+                as_sets = np.sort(near[s], axis=0), np.sort(want[a, b], axis=1).T
+                assert np.array_equal(*as_sets), (k, n)
 
 
 def random_dataset(spec, n, seed):
