@@ -1,22 +1,22 @@
 """Synthetic data scenarios and CSV ingestion for the simulation harness.
 
 Every generator is deterministic given its seed; a seed is an int or a
-tuple of ints, checked by ``_seed_words``, so callers can derive
+tuple of ints, checked by ``words._seed_words``, so callers can derive
 independent per-replication streams as (master seed, index).
-``_replicate_rngs`` derives replicates' ``default_rng`` states in vectorized
-SeedSequence -> PCG64 passes, without a generator per replicate, so
-replicate r draws exactly what ``default_rng((*entropy, r))`` would.
+``_replicate_rngs`` runs SeedSequence's mixing for many replicates in
+vectorized passes and lets numpy's PCG64 seed each replicate from its
+mixed state, so replicate r draws exactly what ``default_rng((*entropy, r))``
+would.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Word, _check_weight
+from .words import Word, _check_weight, _seed_words
 
 SCENARIOS = (
     "null-gauss-1d",
@@ -64,15 +64,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _seed_words(seed) -> tuple[int, ...]:
-    """A seed, an int or a tuple of ints, as a tuple of ints: each word goes
-    through ``operator.index`` first, as numpy's own coercion reads ``'7'`` as 7."""
-    try:
-        return tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
-    except TypeError:
-        raise TypeError("seed must be integer") from None
-
-
 def _sorted_labeling(n: int, w: int) -> np.ndarray:
     """The (n,) bool row of w ones, then n - w zeros, that labelings permute."""
     _check_weight(n, w)
@@ -116,14 +107,12 @@ def _draw(scenario: str, rng: np.random.Generator, sorted_labeling: np.ndarray):
     return feats, bits.view(np.uint8)
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the PCG64
-# multiplier (numpy/random/src/pcg64/pcg64.h); NEP 19 keeps both streams fixed.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx); NEP 19 keeps
+# its stream fixed.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,26 +142,33 @@ _SEED_BLOCK = 64
 
 
 def _replicate_rngs(entropy: tuple, reps: int):
-    """Yield, for r < ``reps``, a Generator that draws what
-    ``np.random.default_rng((*entropy, r))`` draws.
+    """Yield, for r < ``reps``, ``np.random.default_rng((*entropy, r))``.
 
     SeedSequence's mixing runs on a block of replicates at once, one column
-    per replicate, and PCG64's seeding on Python ints; one Generator is
-    reused, its state set per replicate, so each yielded generator must be
-    drawn from before the next is taken.  ``entropy`` holds ``_seed_words``'
-    ints, split into uint32 words as SeedSequence splits them, so a negative
-    one raises numpy's error, at the first replicate.
+    per replicate; numpy's PCG64 then seeds itself from each replicate's
+    mixed state, handed to it as an ``ISeedSequence`` (NEP 19).  ``entropy``
+    holds ``_seed_words``' ints, split into uint32 words as SeedSequence
+    splits them, so a negative one raises numpy's error, at the first
+    replicate.
     """
-    # Imported here: commands that never draw leave numpy.random unloaded.
-    from numpy.random.bit_generator import _coerce_to_uint32_array
+    # Imported here, and the class made here: commands that never draw leave
+    # numpy.random unloaded, and numpy accepts only a subclass.
+    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
+
+    class Mixed(ISeedSequence):
+        """One replicate's ``generate_state(4, np.uint64)``, computed already."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
 
     words = _coerce_to_uint32_array(entropy)
     # Every replicate's entropy is words + (r,), zero-padded to the pool size.
     rows = max(_POOL_SIZE, len(words) + 1)
     xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * (rows - _POOL_SIZE))
     out_xor, out_mult = _hash_consts(_INIT_B, _MULT_B, 8)
-    rng = np.random.Generator(np.random.PCG64(0))  # its state is set per replicate
-    bit_generator = rng.bit_generator
     for start in range(0, reps, _SEED_BLOCK):
         index = np.arange(start, min(reps, start + _SEED_BLOCK), dtype=np.uint32)
         table = np.zeros((rows, len(index)), dtype=np.uint32)
@@ -192,20 +188,10 @@ def _replicate_rngs(entropy: tuple, reps: int):
             pool = _mix(pool, hashed)
             step += _POOL_SIZE
         # generate_state(4, np.uint64): eight words from the cycled pool,
-        # paired low word first.
+        # paired low word first; one C-contiguous row per replicate.
         state = _hashmix(np.tile(pool, (2, 1)), out_xor, out_mult).astype(np.uint64)
-        seeds = (state[0::2] | state[1::2] << np.uint64(32)).tolist()
-        for hi, lo, inc_hi, inc_lo in zip(*seeds):
-            # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps around += seed.
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128,
-                          "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        for row in np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T):
+            yield np.random.default_rng(Mixed(row))
 
 
 def _sampler(scenario: str, n: int, w: int):

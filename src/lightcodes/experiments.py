@@ -19,11 +19,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .datagen import _check_finite, _replicate_rngs, _sampler, _seed_words
+from .datagen import _check_finite, _replicate_rngs, _sampler
 from .learners import Learner, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import _check_alpha, critical_value, wmw_critical
-from .words import _check_weight
+from .words import _check_weight, _seed_words
 
 
 @dataclass(frozen=True, slots=True)

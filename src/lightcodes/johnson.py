@@ -22,7 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .words import Word, _check_weight, _positions, iter_words, neighbors, rank, unrank
+from .words import (Word, _check_weight, _positions, _seed_words, iter_words, neighbors, rank,
+                    unrank)
 
 MATERIALIZE_LIMIT = 10**6
 BYTES_LIMIT = 2**30
@@ -356,7 +357,7 @@ def min_max_outdegree(g: InducedSubgraph) -> int:
 def random_orientation(graph: JohnsonGraph, seed) -> Orientation:
     """Orient every edge of the full J(n,w) by an independent fair coin."""
     g = graph.full_subgraph()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_words(seed))
     coins = rng.integers(0, 2, size=len(g.edges))
     return Orientation(g, coins == 0)
 

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from .datagen import Dataset
 from .johnson import refuse_over
-from .words import Word
+from .words import Word, _seed_words
 
 # Rows per kernel block are capped so that samples x rows x pairs x n stays
 # below this.  That bounds knn's per-block vote gathers (k < n terms per
@@ -134,9 +135,9 @@ def stack_error_counts(learner: "Learner", feats, mats, lows, highs) -> np.ndarr
 
 
 def _check_feature(feature) -> int:
-    if int(feature) < 0:
+    if operator.index(feature) < 0:
         raise ValueError(f"feature index must be non-negative, got {feature}")
-    return int(feature)
+    return operator.index(feature)
 
 
 def _feature_column(feats: np.ndarray, feature: int) -> np.ndarray:
@@ -335,9 +336,11 @@ class RandomOrientationLearner(BatchedLearner):
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-        if not -(1 << 63) <= self.seed < 1 << 63:
-            raise ValueError(f"random-orientation seed {seed} is outside the signed 64-bit range")
+        words = _seed_words(seed)
+        if len(words) != 1 or not -(1 << 63) <= words[0] < 1 << 63:
+            raise ValueError(f"random-orientation seed {seed} is not one integer "
+                             "in the signed 64-bit range")
+        self.seed = words[0]
         self.name = f"random-orientation(seed={self.seed})"
 
     def _tags(self, feats: np.ndarray) -> np.ndarray:
@@ -462,9 +465,9 @@ class KnnLearner(BatchedLearner):
     """
 
     def __init__(self, k: int = 3):
-        if k < 1:
+        self.k = operator.index(k)
+        if self.k < 1:
             raise ValueError("k must be at least 1")
-        self.k = int(k)
         self.name = f"knn(k={self.k})"
 
     def _held_out_neighbors(self, feats: np.ndarray, lows, highs):

@@ -15,11 +15,11 @@ from math import comb
 
 import numpy as np
 
-from .datagen import Dataset, _seed_words
+from .datagen import Dataset
 from .johnson import JohnsonGraph, Orientation, refuse_over
 from .learners import Learner, bit_matrix, pair_errors
 from .wilcoxon import NullDistribution as EmpiricalNull
-from .words import Word, _check_weight, iter_words
+from .words import Word, _check_weight, _seed_words, iter_words
 
 EXACT_NULL_LIMIT = 10**6
 MC_EXACT_THRESHOLD = 10**5

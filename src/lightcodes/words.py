@@ -22,6 +22,15 @@ def _check_weight(n: int, w: int) -> None:
         raise ValueError(f"need 0 < w < n, got n={n}, w={w}")
 
 
+def _seed_words(seed) -> tuple[int, ...]:
+    """A seed, an int or a tuple of ints, as a tuple of ints: each word goes
+    through ``operator.index`` first, as numpy's own coercion reads ``'7'`` as 7."""
+    try:
+        return tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
+    except TypeError:
+        raise TypeError("seed must be integer") from None
+
+
 def _positions(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending, found one lowest bit at a time."""
     out = []

@@ -78,10 +78,28 @@ def test_summary_names_each_trees_commit(tmp_path, monkeypatch, capsys):
     heads = [git_clone_of_one_commit(tmp_path / side) for side in ab_bench.SIDES]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
-    monkeypatch.setattr(ab_bench, "run_bench", lambda tree, *args: {
-        **record(0.3, 500), "verdict": {"correct": True, "attempted": 1, "failed": 0}})
+    calls = []
+
+    def run_bench(tree, *args):
+        calls.append(("run", tree.name))
+        return {**record(0.3, 500), "verdict": {"correct": True, "attempted": 1, "failed": 0}}
+
+    monkeypatch.setattr(ab_bench, "compile_tree", lambda tree: calls.append(("compile", tree.name)))
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
     assert ab_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
                           "tables", "--seed", "7", "--pairs", "2"]) == 0
+    # Each tree is compiled once, before the first pair.
+    assert calls == [("compile", "parent"), ("compile", "change"), ("run", "parent"),
+                     ("run", "change"), ("run", "change"), ("run", "parent")]
     out = capsys.readouterr().out
     for side, head in zip(ab_bench.SIDES, heads):
         assert f"# {side}: {tmp_path / side} at {head}\n" in out
+
+
+def test_compile_tree_writes_bytecode_even_when_told_not_to(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for module in ("src/pkg/mod.py", "bench/run.py", "tests/test_x.py"):
+        (tmp_path / module).parent.mkdir(parents=True)
+        (tmp_path / module).write_text("X = 1\n")
+    ab_bench.compile_tree(tmp_path)
+    assert [p.parent.parent.name for p in sorted(tmp_path.rglob("*.pyc"))] == ["bench", "pkg"]

@@ -630,6 +630,14 @@ def test_cli_module_runs_like_the_package():
     assert module.stdout == package.stdout
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # Commands that never draw skip numpy.random's import and its memory.
+    code = "import sys, lightcodes.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 

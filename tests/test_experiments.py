@@ -19,6 +19,7 @@ from lightcodes.experiments import (
     replicate_error_counts,
     type2_experiment,
 )
+from lightcodes.johnson import JohnsonGraph, random_orientation
 from lightcodes.learners import Learner, make_learner
 from lightcodes.lpocv import sample_labelings
 from lightcodes.wilcoxon import wmw_critical
@@ -268,6 +269,12 @@ SEED_WORDS = st.one_of(
 @example(entropy=(1, 2, 3, 4, 5, 6), reps=2)  # past the pool: each extra word mixed in
 @example(entropy=(5, 0), reps=0)
 def test_replicate_rngs_draw_the_default_rng_streams(entropy, reps):
+    # Each replicate has a generator of its own: taken all at once, they still
+    # hold their own states.
+    kept = list(datagen._replicate_rngs(entropy, reps))
+    assert len(kept) == reps
+    for r, rng in enumerate(kept):
+        assert rng.bit_generator.state == np.random.default_rng((*entropy, r)).bit_generator.state
     got = 0
     for r, rng in enumerate(datagen._replicate_rngs(entropy, reps)):
         want = np.random.default_rng((*entropy, r))
@@ -317,6 +324,8 @@ def test_seeds_are_ints_or_tuples_of_ints(seed, tmp_path):
         replicate_error_counts(learner, "null-gauss-1d", 6, 3, 2, seed)
     with pytest.raises(TypeError, match="^seed must be integer$"):
         sample_labelings(6, 3, 2, seed)
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        random_orientation(JohnsonGraph(5, 2), seed)
 
 
 def test_integer_seed_words_keep_their_streams():

@@ -16,6 +16,7 @@ ONE_RAISE_EACH = {
     "size refusal": r"raise ResourceLimitError\b",
     "(n, w) domain": r"raise \w+\(f\"need 0 < w < n",
     "W >= 0": r"raise ValueError\(\"[^\"]*W must be nonnegative",
+    "seed words": r"raise TypeError\(\"seed must be integer\"\)",
 }
 
 

@@ -72,8 +72,12 @@ def test_random_orientation_seed_is_a_signed_64_bit_integer():
     for seed in (-(2**63), 2**63 - 1):
         assert RandomOrientationLearner(seed).seed == seed
         assert make_learner(f"random-orientation;seed={seed}").seed == seed
-    for seed in (-(2**63) - 1, 2**63):
+    for seed in (-(2**63) - 1, 2**63, (7, 1)):
         with pytest.raises(ValueError, match="signed 64-bit range"):
+            RandomOrientationLearner(seed)
+    # Checked as every seed is, not truncated or parsed.
+    for seed in ("7", 7.9, ("7",)):
+        with pytest.raises(TypeError, match="^seed must be integer$"):
             RandomOrientationLearner(seed)
 
 
@@ -187,6 +191,9 @@ def test_ridge_rejects_non_positive_or_non_finite_penalty(lam):
 def test_feature_index_is_checked(cls):
     with pytest.raises(ValueError, match="non-negative"):
         cls(feature=-1)
+    for feature in (1.9, "2"):  # checked, not truncated or parsed
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            cls(feature)
     data = gaussian_data(6, 3, 4)
     lab = Word.from_support(6, (0, 2, 5))
     learner = cls(feature=3)
@@ -275,6 +282,8 @@ def test_knn_too_large_k():
     # The stacked path of the replication harness raises the same error.
     with pytest.raises(ValueError, match=message):
         replicate_error_counts(KnnLearner(4), "null-gauss-10d", 5, 2, 3, 0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        KnnLearner(2.5)  # checked, not truncated to k=2
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

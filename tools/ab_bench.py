@@ -17,7 +17,9 @@ Make both trees the same way, best as two ``git clone``s: a tree copied
 without its ``.git`` has run ``replication-study`` 20-25% slower than a
 clone of the same commit (2-core VM, cause not found), so a git checkout
 paired with a tree that is not one is refused.  The summary names the
-commit each tree has checked out.
+commit each tree has checked out.  Both trees' ``src`` and ``bench`` are
+byte-compiled before the first pair, so neither side's children compile
+from source: a tree without valid ``.pyc`` files reads slower and larger.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ def tree_heads(trees: dict) -> dict:
     return heads
 
 
+def compile_tree(tree: Path) -> None:
+    """Write ``.pyc`` files for ``tree``'s ``src`` and ``bench``; ``compileall``
+    writes them even under ``PYTHONDONTWRITEBYTECODE``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=tree,
+                   check=True)
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """Run ``bench/run.py`` in ``tree``; its record, with the run's verdict."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -128,6 +137,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     heads = tree_heads(trees)
+    for tree in trees.values():
+        compile_tree(tree)
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
