@@ -4,9 +4,8 @@ Every generator is deterministic given its seed; a seed is an int or a
 tuple of ints, checked by ``words._seed_words``, so callers can derive
 independent per-replication streams as (master seed, index).
 ``_replicate_rngs`` runs SeedSequence's mixing for many replicates in
-vectorized passes and lets numpy's PCG64 seed each replicate from its
-mixed state, so replicate r draws exactly what ``default_rng((*entropy, r))``
-would.
+vectorized passes and lets numpy's PCG64 seed itself from each mixed state,
+so replicate r draws exactly what ``default_rng((*entropy, r))`` would.
 """
 
 from __future__ import annotations
@@ -145,11 +144,10 @@ def _replicate_rngs(entropy: tuple, reps: int):
     """Yield, for r < ``reps``, ``np.random.default_rng((*entropy, r))``.
 
     SeedSequence's mixing runs on a block of replicates at once, one column
-    per replicate; numpy's PCG64 then seeds itself from each replicate's
-    mixed state, handed to it as an ``ISeedSequence`` (NEP 19).  ``entropy``
-    holds ``_seed_words``' ints, split into uint32 words as SeedSequence
-    splits them, so a negative one raises numpy's error, at the first
-    replicate.
+    per replicate; numpy's PCG64 seeds itself from each replicate's mixed
+    state, an ``ISeedSequence`` (NEP 19).  ``entropy`` holds ``_seed_words``'
+    ints, split into uint32 words as SeedSequence splits them, so a negative
+    one raises numpy's error, at the first replicate.
     """
     # Imported here, and the class made here: commands that never draw leave
     # numpy.random unloaded, and numpy accepts only a subclass.

@@ -7,8 +7,8 @@ off the replication histogram exactly as for the analytic tables: the
 largest error count whose empirical frequency stays strictly below the
 level.  Per-replication seeds derive from (config seed, cell, index) so
 results are independent of execution order; replicate r's stream is
-``default_rng((seed, n, w, r))`` bit for bit, its state derived with the
-cell's other replicates in vectorized passes (``datagen._replicate_rngs``).
+``default_rng((seed, n, w, r))`` bit for bit, its PCG64 seeded from
+SeedSequence's mixing run in vectorized passes (``datagen._replicate_rngs``).
 """
 
 from __future__ import annotations
