@@ -22,7 +22,7 @@ from .experiments import (
 from .johnson import ResourceLimitError, write_orientation_file
 from .learners import make_learner
 from .lpocv import histogram_from_errors, null_error_counts
-from .wilcoxon import wmw_critical_grid
+from .wilcoxon import _check_alpha, wmw_critical_grid
 from .words import read_word_file, write_word_file
 
 EXIT_OK = 0
@@ -169,14 +169,14 @@ def cmd_critical(args) -> int:
             for w in range(1, args.max_size + 1)
             for n0 in range(1, args.max_size + 1)
         ]
-        cells = empirical_critical_table(configs, args.alpha)
+        cells = empirical_critical_table(configs, _check_alpha(args.alpha))
     elif args.test == "wmw":
         cells = wmw_critical_grid(args.alpha, args.max_size)
     else:
-        kind = "lower" if args.test == "lightcode-lower" else "upper"
+        kind, alpha = args.test.removeprefix("lightcode-"), _check_alpha(args.alpha)
         for w in range(1, args.max_size + 1):
             for n0 in range(1, args.max_size + 1):
-                cells[(w, n0)] = bounds_mod.lightcode_critical(args.alpha, w + n0, w, kind)
+                cells[(w, n0)] = bounds_mod.lightcode_critical(alpha, w + n0, w, kind)
     _emit(args.out, _grid_lines(cells, args.max_size))
     return EXIT_OK
 

@@ -4,9 +4,9 @@ A code C in S(n,w) is W-light when the subgraph of J(n,w) induced by C can
 be oriented with every code vertex at outdegree <= W.  Edges leaving the
 code never count against it, so only induced edges matter.
 
-The closed forms at the weight boundary and the recursive upper bound on
-L(W,n,w) live here rather than in ``bounds``, because ``exact_L`` stops
-as soon as its incumbent meets the upper bound.
+The closed forms at the weight boundary and the recursive upper bound on L(W,n,w)
+live here rather than in ``bounds``: ``exact_L`` stops once its incumbent meets
+it or the Hoffman ratio and edge-count bounds of ``_closed_form_upper``.
 """
 
 from __future__ import annotations
@@ -240,6 +240,17 @@ def johnson_upper(n: int, w: int, W: int) -> int:
     return min(jb1, jb2, comb(n, w))
 
 
+def _closed_form_upper(n: int, w: int, W: int) -> int:
+    """min(C, C(2W+v)/(v(n-v+1)), dC/(2(d-W)) if W < d), floored, bounds L(W,n,w): J(n,v),
+    v = min(w, n-w), has C = C(n,v) words of degree d = v(n-v) and least eigenvalue -v.
+    A W-light S spans e(S) <= W|S| edges, so x = 1_S - |S|/C in x'Ax >= -v|x|^2 gives the ratio
+    bound (Haemers 2021); and the d|S| - 2e(S) edges leaving S end d per outside word at most."""
+    v = min(w, n - w)
+    d, total = v * (n - v), comb(n, v)
+    ceiling = min(total, total * (2 * W + v) // (v * (n - v + 1)))
+    return ceiling if W >= d else min(ceiling, d * total // (2 * (d - W)))
+
+
 def _split(cells: list[int], mask: int) -> list[int]:
     """Refine a partition of the positions, as cell masks, by one chosen word."""
     return [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
@@ -309,15 +320,15 @@ def _search(n: int, w: int, W: int, upper: int, best_ranks: list[int]) -> list[i
 def exact_L(n: int, w: int, W: int, return_code: bool = False):
     """Exact maximum size of a W-light (n,w) code, by orbital branch and bound.
 
-    The incumbent is the certified ``best_construction``, returned as it is
-    when it meets ``johnson_upper``; otherwise ``_search`` tries to beat it,
-    and only a larger code it finds is certified, by ``_certified``.  The
-    words come in rank order.
+    The incumbent is the certified ``best_construction``, returned as it is when it
+    meets the least of ``johnson_upper`` and ``_closed_form_upper``; otherwise ``_search``
+    tries to beat it up to that ceiling, keeping only a larger code, so any valid ceiling
+    gives the same words; such a code is certified by ``_certified``.  Words come in rank order.
     """
     _check_weight(n, w)
     _check_lightness(W)
     refuse_over(f"C({n},{w})", comb(n, w), EXACT_SEARCH_LIMIT, "exhaustive search")
-    upper = johnson_upper(n, w, W)
+    upper = min(johnson_upper(n, w, W), _closed_form_upper(n, w, W))
     seed = best_construction(n, w, W)
     code = LightCode(n, w, W, tuple(sorted(seed.words, key=rank)), seed.witness)
     if code.size < upper:

@@ -128,8 +128,12 @@ def enumerate_words(n: int, w: int) -> list[Word]:
 
 
 def rank(word: Word) -> int:
-    """Position of ``word`` in the colex enumeration of S(n,w)."""
-    return sum(map(comb, word.support(), range(1, word.w + 1)))
+    """Position of ``word`` in the colex enumeration of S(n,w): sum of C(p, k), p its k-th one."""
+    mask, k, r = word.mask, word.w, 0
+    while mask:
+        p = mask.bit_length() - 1
+        r, k, mask = r + comb(p, k), k - 1, mask ^ 1 << p
+    return r
 
 
 def unrank(n: int, w: int, r: int) -> Word:

@@ -96,6 +96,28 @@ def test_summary_names_each_trees_commit(tmp_path, monkeypatch, capsys):
         assert f"# {side}: {tmp_path / side} at {head}\n" in out
 
 
+def test_a_second_series_keeps_the_first_series_records(tmp_path, monkeypatch, capsys):
+    for side in ab_bench.SIDES:
+        git_clone_of_one_commit(tmp_path / side)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "compile_tree", lambda tree: None)
+    walls = iter(range(1, 9))
+    monkeypatch.setattr(ab_bench, "run_bench", lambda *args: {
+        **record(next(walls) / 10, 500), "verdict": {"correct": True, "attempted": 1, "failed": 0}})
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "tables",
+            "--seed", "7", "--pairs", "2"]
+    assert ab_bench.main(argv) == 0 and ab_bench.main(argv) == 0
+    records = sorted((tmp_path / ".bench_work" / "ab").iterdir())
+    assert len(records) == 8
+    series = sorted({path.name.split("-")[2] for path in records})
+    assert len(series) == 2
+    assert all(path.name.startswith("tables-seed7-") for path in records)
+    stored = {json.loads(path.read_text())["metrics"]["wall_s"]["value"] for path in records}
+    assert stored == {k / 10 for k in range(1, 9)}
+    out = capsys.readouterr().out
+    assert all(f"records in .bench_work/ab, series {s}\n" in out for s in series)
+
 def test_compile_tree_writes_bytecode_even_when_told_not_to(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     for module in ("src/pkg/mod.py", "bench/run.py", "tests/test_x.py"):

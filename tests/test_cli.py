@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lightcodes import experiments, lpocv
+from lightcodes import experiments, lpocv, wilcoxon
 from lightcodes.cli import build_parser, main
 from lightcodes.wilcoxon import wmw_critical
 from lightcodes.words import Word, enumerate_words, read_word_file, write_word_file
@@ -109,6 +109,32 @@ def test_critical_empirical_small_grid(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "w,1,2,3"
 
+
+def test_critical_grids_parse_alpha_once(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "configs.txt"
+    cfg.write_text("constant;feature=0;null-gauss-1d;7\n")
+    parsed = []
+    as_fraction = wilcoxon.as_fraction
+    monkeypatch.setattr(wilcoxon, "as_fraction", lambda a: parsed.append(a) or as_fraction(a))
+    for test in ("lightcode-upper", "lightcode-lower", "empirical"):
+        parsed.clear()
+        code, out, _ = run(capsys, "critical", "--test", test, "--max-size", "4",
+                           "--configs", str(cfg), "--reps", "20")
+        assert code == 0 and out.startswith("w,1,2,3,4\n")
+        assert [a for a in parsed if isinstance(a, str)] == ["0.05"], test
+
+
+def test_critical_reports_a_bad_alpha_after_the_branchs_own_checks(tmp_path, capsys):
+    cfg = tmp_path / "configs.txt"
+    cfg.write_text("constant;feature=0;null-gauss-3d;7\n")
+    for test in ("lightcode-upper", "lightcode-lower"):
+        code, out, err = run(capsys, "critical", "--test", test, "--alpha", "2")
+        assert (code, out, err) == (1, "", "usage error: alpha must be in (0,1), got 2\n")
+    code, _, err = run(capsys, "critical", "--test", "empirical", "--alpha", "2")
+    assert code == 1 and "requires --configs" in err
+    code, _, err = run(capsys, "critical", "--test", "empirical", "--alpha", "2",
+                       "--configs", str(cfg))
+    assert code == 2 and "unknown scenario 'null-gauss-3d'" in err
 
 def test_construct_and_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "code.txt"

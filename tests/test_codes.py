@@ -13,7 +13,9 @@ from lightcodes.codes import (
     construct_graham_sloane,
     construct_orbit,
     construct_tournament,
+    boundary_exact,
     exact_L,
+    johnson_upper,
     tau,
     tau_class_sizes,
     tau_classes,
@@ -25,7 +27,7 @@ from lightcodes.johnson import (
     ResourceLimitError,
     build_induced,
 )
-from lightcodes.words import Word, enumerate_words, hamming, transpose
+from lightcodes.words import Word, enumerate_words, hamming, rank, transpose, unrank
 from oracles import distance_two_pairs, nx_orientable, plain_exact_L
 
 
@@ -364,6 +366,58 @@ def test_exact_L_past_the_size_limit(monkeypatch):
     assert size == 10
     _check_exact_code(size, code, 1)
 
+
+# Every instance exact_L takes: C(n,w) <= EXACT_SEARCH_LIMIT and 0 <= W <= w(n-w).
+ENUMERABLE = [(n, w, W) for n in range(2, codes.EXACT_SEARCH_LIMIT + 1) for w in range(1, n)
+              if comb(n, w) <= codes.EXACT_SEARCH_LIMIT for W in range(w * (n - w) + 1)]
+
+
+def test_closed_form_ceiling_is_at_least_L_on_every_enumerable_instance():
+    assert len(ENUMERABLE) == 665
+    for n, w, W in ENUMERABLE:
+        # Past 14 words the plain search takes seconds per weight-1 instance;
+        # there the closed form min(2W+1, n) is L.
+        closed = boundary_exact(n, w, W)
+        L = plain_exact_L(n, w, W) if closed is None or comb(n, w) <= 14 else closed
+        assert codes._closed_form_upper(n, w, W) >= L, (n, w, W)
+
+
+def test_closed_form_ceiling_is_at_least_every_construction():
+    rows = below = 0
+    for n in range(3, 15):
+        for w in range(1, n):
+            for W in range(3 * n):
+                ceiling = codes._closed_form_upper(n, w, W)
+                assert ceiling >= best_construction(n, w, W).size, (n, w, W)
+                rows, below = rows + 1, below + (ceiling < johnson_upper(n, w, W))
+    assert (rows, below) == (2724, 630)
+
+
+def test_closed_form_ceiling_is_every_word_exactly_when_2W_reaches_the_degree():
+    for n in range(2, 31):
+        for w in range(1, n):
+            d = w * (n - w)
+            for W in range(d + 3):
+                assert (codes._closed_form_upper(n, w, W) == comb(n, w)) == (2 * W >= d)
+                assert codes._closed_form_upper(n, w, W) <= comb(n, w)
+
+
+def test_exact_L_returns_the_words_of_the_search_run_to_johnson_upper():
+    for n, w, W in ENUMERABLE:
+        ranks = sorted(map(rank, best_construction(n, w, W).words))
+        if len(ranks) < johnson_upper(n, w, W):
+            ranks = codes._search(n, w, W, johnson_upper(n, w, W), ranks)
+        code = exact_L(n, w, W, return_code=True)[1]
+        assert code.words == tuple(unrank(n, w, r) for r in ranks), (n, w, W)
+
+
+def test_exact_L_stops_the_search_at_the_closed_form_ceiling(monkeypatch):
+    uppers = []
+    search = codes._search
+    monkeypatch.setattr(codes, "_search",
+                        lambda n, w, W, upper, best: uppers.append(upper) or search(n, w, W, upper, best))
+    assert exact_L(6, 3, 2) == 11
+    assert uppers == [11] and johnson_upper(6, 3, 2) == 14
 
 def _cell_counts(mask: int, cells: list[list[int]]) -> list[int]:
     return [sum(mask >> p & 1 for p in cell) for cell in cells]

@@ -8,7 +8,9 @@ Each pair runs ``bench/run.py`` unmodified, once in each tree, one tree
 after the other; which tree goes first alternates from pair to pair, so a
 slow stretch of the machine does not fall on one side only.  ``bench/run.py``
 overwrites its record on every run, so each record is copied to its own
-name under ``.bench_work/ab/`` as soon as the run ends.  At the end each
+name under ``.bench_work/ab/`` as soon as the run ends; the name holds the
+series' start time to the microsecond, so a later series on the same
+workload and seed keeps the earlier one's records.  At the end each
 metric of the records is summarised: each side's median and quartiles, the
 number of pairs in which the change did better, and whether the medians
 differ by more than the parent's quartile spread.
@@ -29,6 +31,7 @@ import json
 import statistics
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +140,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     heads = tree_heads(trees)
+    series = datetime.now().strftime("%Y%m%dT%H%M%S%f")
     for tree in trees.values():
         compile_tree(tree)
     pairs = []
@@ -145,14 +149,14 @@ def main(argv=None) -> int:
         records = {}
         for side in order:
             records[side] = record = run_bench(trees[side], args.workload, args.seed, args.seconds)
-            name = f"{args.workload}-seed{args.seed}-pair{i:02d}-{side}.json"
+            name = f"{args.workload}-seed{args.seed}-{series}-pair{i:02d}-{side}.json"
             (out / name).write_text(json.dumps(record, indent=1))
             wall = record["metrics"]["wall_s"]["value"]
             print(f"# pair {i} {side}: wall_s {wall:.4f}, correct {record['verdict']['correct']}, "
                   f"failed {record['verdict']['failed']}", flush=True)
         pairs.append((records["parent"], records["change"]))
     print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s each; "
-          f"records in {out.relative_to(ROOT)}")
+          f"records in {out.relative_to(ROOT)}, series {series}")
     for side in SIDES:
         print(f"# {side}: {trees[side]} at {heads[side] or 'no git checkout'}")
     print("\n".join(format_rows(summarize(pairs, spec))))
