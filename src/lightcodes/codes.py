@@ -30,8 +30,8 @@ from .johnson import (
 from .wilcoxon import wmw_distribution
 from .words import Word, _check_weight, enumerate_words, iter_words, rank, unrank
 
-# C(7,3) = 35, the next size up, takes about 0.5 s at W = 1, 9 s at W = 5 and
-# 145 s at W = 2; W = 3, 4 did not finish in 300 s (2-core VM, Python 3.11).
+# C(7,3) = 35, the next size up, takes about 0.3 s at W = 1, 1 s at W = 5, 9 s at
+# W = 4 and 95 s at W = 2; W = 3 did not finish in 120 s (2-core VM, Python 3.11).
 EXACT_SEARCH_LIMIT = 24
 
 
@@ -241,10 +241,10 @@ def johnson_upper(n: int, w: int, W: int) -> int:
 
 
 def _closed_form_upper(n: int, w: int, W: int) -> int:
-    """min(C, C(2W+v)/(v(n-v+1)), dC/(2(d-W)) if W < d), floored, bounds L(W,n,w): J(n,v),
-    v = min(w, n-w), has C = C(n,v) words of degree d = v(n-v) and least eigenvalue -v.
-    A W-light S spans e(S) <= W|S| edges, so x = 1_S - |S|/C in x'Ax >= -v|x|^2 gives the ratio
-    bound (Haemers 2021); and the d|S| - 2e(S) edges leaving S end d per outside word at most."""
+    """An upper bound on L(W,n,w): min(C, C(2W+v)/(v(n-v+1)), dC/(2(d-W)) if W < d), floored,
+    where J(n,v), v = min(w, n-w), has C = C(n,v) words, degree d = v(n-v), least eigenvalue -v.
+    A W-light S spans e(S) <= W|S| edges: x = 1_S - |S|/C in x'Ax >= -v|x|^2 gives the ratio
+    bound (Haemers 2021), and the d|S| - 2e(S) edges leaving S end at most d per word outside S."""
     v = min(w, n - w)
     d, total = v * (n - v), comb(n, v)
     ceiling = min(total, total * (2 * W + v) // (v * (n - v + 1)))

@@ -118,6 +118,7 @@ def test_a_second_series_keeps_the_first_series_records(tmp_path, monkeypatch, c
     out = capsys.readouterr().out
     assert all(f"records in .bench_work/ab, series {s}\n" in out for s in series)
 
+
 def test_compile_tree_writes_bytecode_even_when_told_not_to(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     for module in ("src/pkg/mod.py", "bench/run.py", "tests/test_x.py"):

@@ -135,6 +135,12 @@ def test_critical_reports_a_bad_alpha_after_the_branchs_own_checks(tmp_path, cap
     code, _, err = run(capsys, "critical", "--test", "empirical", "--alpha", "2",
                        "--configs", str(cfg))
     assert code == 2 and "unknown scenario 'null-gauss-3d'" in err
+    # ... and before any config is scored, so a data file that cannot be read is not reached.
+    cfg.write_text(f"constant;feature=0;csv:{tmp_path / 'missing.csv'};7\n")
+    code, _, err = run(capsys, "critical", "--test", "empirical", "--alpha", "2",
+                       "--configs", str(cfg))
+    assert code == 1 and "alpha must be in (0,1), got 2" in err, err
+
 
 def test_construct_and_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "code.txt"

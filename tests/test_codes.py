@@ -10,10 +10,10 @@ from lightcodes import codes
 from lightcodes.codes import (
     LightCode,
     best_construction,
+    boundary_exact,
     construct_graham_sloane,
     construct_orbit,
     construct_tournament,
-    boundary_exact,
     exact_L,
     johnson_upper,
     tau,
@@ -414,10 +414,11 @@ def test_exact_L_returns_the_words_of_the_search_run_to_johnson_upper():
 def test_exact_L_stops_the_search_at_the_closed_form_ceiling(monkeypatch):
     uppers = []
     search = codes._search
-    monkeypatch.setattr(codes, "_search",
-                        lambda n, w, W, upper, best: uppers.append(upper) or search(n, w, W, upper, best))
+    monkeypatch.setattr(codes, "_search", lambda n, w, W, upper, best: (
+        uppers.append(upper) or search(n, w, W, upper, best)))
     assert exact_L(6, 3, 2) == 11
     assert uppers == [11] and johnson_upper(6, 3, 2) == 14
+
 
 def _cell_counts(mask: int, cells: list[list[int]]) -> list[int]:
     return [sum(mask >> p & 1 for p in cell) for cell in cells]
