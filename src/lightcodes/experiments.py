@@ -20,7 +20,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .datagen import _check_finite, _replicate_rngs, _sampler
-from .learners import Learner, _split_pairs, make_learner, stack_error_counts
+from .learners import Learner, _refuse_kernel, _split_pairs, make_learner, stack_error_counts
 from .lpocv import histogram_from_errors
 from .wilcoxon import _check_alpha, critical_value, wmw_critical
 from .words import _check_weight, _seed_words
@@ -46,13 +46,11 @@ class SimulationConfig:
         return make_learner(self.learner_spec)
 
 
-# Samples per block are capped so that samples x n x max(pairs, n x d) stays
-# below this: a sample's largest kernel temporaries are ridge's (pairs, n) pair
-# rows and knn's (n, n, d) distance tensor.  As float64 the cap is
-# 128 KiB, glibc's default mmap threshold; a larger temporary is page-faulted
-# in afresh on each block, so stacking two n = 40 ridge samples past it costs
-# more than scoring them one at a time.
-_SAMPLE_BLOCK_ELEMENTS = 1 << 14
+# Samples per block are capped so that a block's largest kernel array,
+# samples x ``Learner.sample_bytes``, stays within 128 KiB, glibc's default
+# mmap threshold; a larger temporary is page-faulted in afresh on each block,
+# so stacking samples past it costs more than scoring them one at a time.
+_SAMPLE_BLOCK_BYTES = 1 << 17
 
 
 def replicate_error_counts(
@@ -68,8 +66,9 @@ def replicate_error_counts(
     if not reps:
         return out
     first = next(samples)
-    d = first[0].shape[1]
-    step = max(1, _SAMPLE_BLOCK_ELEMENTS // max(1, n * w * (n - w), n * n * d))
+    d, pairs = first[0].shape[1], w * (n - w)
+    _refuse_kernel(learner, 1, n, d, pairs)
+    step = max(1, _SAMPLE_BLOCK_BYTES // max(1, learner.sample_bytes(n, d, pairs)))
     samples = chain([first], samples)
     for start in range(0, reps, step):
         feats, rows = map(np.stack, zip(*islice(samples, step)))

@@ -134,6 +134,12 @@ def stack_error_counts(learner: "Learner", feats, mats, lows, highs) -> np.ndarr
     return out
 
 
+def _refuse_kernel(learner: "Learner", R: int, n: int, d: int, pairs: int) -> None:
+    """Refuse R stacked samples by the learner's largest kernel array."""
+    refuse_over(f"bytes of {learner.name}'s largest kernel array on {R} sample(s) of n={n}",
+                R * learner.sample_bytes(n, d, pairs))
+
+
 def _check_feature(feature) -> int:
     if operator.index(feature) < 0:
         raise ValueError(f"feature index must be non-negative, got {feature}")
@@ -184,6 +190,11 @@ class Learner(ABC):
                     errs += self.pair_bit(data, y, min(i, j), max(i, j)) != (i < j)
             out[idx] = errs
         return out
+
+    def sample_bytes(self, n: int, d: int, pairs: int) -> int:
+        """Bytes of the largest kernel array per stacked sample of n rows, d
+        features and ``pairs`` pairs: by default the features or a float per pair."""
+        return 8 * max(n * d, pairs)
 
     def pair_kernel(self, feats: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         """Batched canonical bits for R stacked samples and their pairs.
@@ -284,9 +295,12 @@ class OrderDirectionLearner(BatchedLearner):
             return int(f[low] > f[high])
         return int(f[low] < f[high])
 
+    def sample_bytes(self, n, d, pairs):
+        return 8 * n * n  # the (n, n) int64 sign matrix
+
     def pair_kernel(self, feats, lows, highs):
         f = _feature_column(feats, self.feature)
-        refuse_over(f"bytes of the sign matrices at n={f.shape[1]}", 8 * f.size * f.shape[1])
+        _refuse_kernel(self, *feats.shape, lows.shape[1])
         # sign[s, r, c] is +1 / -1 when (1-labeled r, 0-labeled c) would be a
         # concordant / discordant pair of sample s.
         sign = (f[:, :, None] > f[:, None, :]).astype(np.int64) - (f[:, :, None] < f[:, None, :])
@@ -378,17 +392,26 @@ class RidgeLearner(BatchedLearner):
     held-out rows are then scored and compared with the strict tie rule.
     No feature standardization is applied.  No fit is ever redone: with the
     full-sample hat matrix H = Z A^-1 Z^T, the held-out pair S = {a, b} has
-    s_a - s_b = u_S^T H[S, :] y over the training rows, u_S = (I - H_SS)^-1 (1, -1),
-    a 2x2 closed form whose determinant det(A_S) / det(A) is positive for
-    n >= 3 (leave-pair-out, Pahikkala et al. 2008).
+    s_a - s_b = C y, C = u_a H[a] + u_b H[b] zeroed at a and b, where
+    (u_a, u_b) = (I - H_SS)^-1 (1, -1), a 2x2 closed form whose determinant
+    det(A_S) / det(A) is positive for n >= 3 (leave-pair-out, Pahikkala et
+    al. 2008).  ``pair_bit`` sums y_i C_i elementwise.
 
-    The kernel scores a block of labelings as one BLAS product Y C^T and
-    trusts its sign outside the band |s| <= 4 n eps sum_i |C_i|.  The terms
-    y_i C_i are exact, and any summation order of them lands within
-    gamma_(n-1) sum_i |C_i| < half the band of the true sum (Higham 2002,
-    sections 3.1 and 4.2), so outside the band every order, ``pair_bit``'s
-    included, has the same sign.  Entries inside it are summed as
-    ``pair_bit`` sums them, so the bits equal ``pair_bit``'s exactly.
+    The kernel builds no C: with h = H y, one BLAS product per labeling, and
+    alpha, beta C's entries at a, b before zeroing, s = u_a h_a + u_b h_b -
+    y_a (alpha - beta) - beta, an inner product of length 4.  Its sign is
+    trusted outside |s| <= 5 n eps M, M = sum_j (|u_a H_aj| + |u_b H_bj|), a
+    band no labeling moves.  Proof: let u = eps / 2 and E = sum_(i not in S)
+    y_i (u_a H_ai + u_b H_bi), exact.  Up to factors 1 + O(n u), summing in
+    any order (Higham 2002, sections 3.1 and 4.2), ``pair_bit``'s sum is
+    within (n + 1) u M of E (2 u M forming the C_i, (n - 1) u M adding them),
+    and s within (n + 20) u M (n u M from h, 4 u M from beta and alpha - beta,
+    both at most M in size, and 16 u M from the inner product, whose terms
+    total at most 4 M).  The computed band is at least 10 n u M (1 - (n + 3) u),
+    so for n >= 3 both have E's sign outside it.  M >= 1 (H 1 = 1, and u_a
+    or u_b has size >= 1), so underflow stays inside the slack.  Entries in
+    the band, or not finite, build their C rows and sum them as ``pair_bit``
+    does, so the bits are its bits.
     """
 
     def __init__(self, lam: float = 1.0):
@@ -397,62 +420,80 @@ class RidgeLearner(BatchedLearner):
             raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
         self.name = f"ridge(lambda={self.lam:g})"
 
-    def _pair_rows(self, feats: np.ndarray, lows, highs) -> np.ndarray:
-        """Rows C (R, K, n), zero at each pair, with s_low - s_high = C[r, k] @ y
-        for pair k of stacked sample r."""
+    def sample_bytes(self, n, d, pairs):
+        return 8 * max(n * n, 4 * pairs)  # H, or four floats or indices per pair
+
+    def _fit(self, feats: np.ndarray, lows, highs):
+        """Hat matrices H (R, n, n) of R stacked samples, and each pair's
+        weights (u_a, u_b, beta - alpha, -beta) in s, as (R, K, 4)."""
         R, n, d = feats.shape
         if n < 3:
-            raise ValueError(
-                f"ridge needs n >= 3: holding out a pair of n={n} rows "
-                "leaves no training rows"
-            )
-        refuse_over(f"bytes of ridge's pair rows at n={n}", 8 * R * n * max(lows.shape[1], n))
+            raise ValueError(f"ridge needs n >= 3: holding out a pair of n={n} rows "
+                             "leaves no training rows")
+        _refuse_kernel(self, R, n, d, lows.shape[1])
         Z = np.concatenate([feats, np.ones((R, n, 1))], axis=2)
         Zt = Z.transpose(0, 2, 1)
         # Per sample, the same BLAS and LAPACK calls as on one (n, d + 1) matrix.
         H = Z @ np.linalg.solve(Zt @ Z + np.diag([self.lam] * d + [0.0]), Zt)
-        s = np.arange(R)[:, None]
-        rest_a, rest_b, h_ab = 1.0 - H[s, lows, lows], 1.0 - H[s, highs, highs], H[s, lows, highs]
-        det = rest_a * rest_b - h_ab * h_ab
-        u_a, u_b = (rest_b - h_ab) / det, (h_ab - rest_a) / det
-        # u_a * H[a] + u_b * H[b], formed in place to hold two (R, K, n) arrays.
-        C = H[s, lows]
-        C *= u_a[..., None]
-        C_b = H[s, highs]
-        C_b *= u_b[..., None]
-        C += C_b
-        k = np.arange(lows.shape[1])
-        C[s, k, lows] = 0.0
-        C[s, k, highs] = 0.0
+        # Flat takes from the starts of rows a and b: on a stack of samples
+        # they cost half of H[s, a, b].
+        starts = (n * np.arange(R)[:, None] + lows) * n, (n * np.arange(R)[:, None] + highs) * n
+        H_aa, H_ab, H_ba, H_bb = (H.take(i + j) for i in starts for j in (lows, highs))
+        rest_a, rest_b = 1.0 - H_aa, 1.0 - H_bb
+        det = rest_a * rest_b - H_ab * H_ab
+        u_a, u_b = (rest_b - H_ab) / det, (H_ab - rest_a) / det
+        beta = H_ab * u_a + H_bb * u_b
+        return H, np.stack([u_a, u_b, beta - (H_aa * u_a + H_ba * u_b), -beta], axis=-1)
+
+    @staticmethod
+    def _rows(H, weights, r, a, b) -> np.ndarray:
+        """Rows C (E, n) of pairs (a[e], b[e]) of samples r[e], from their weights (E, 4)."""
+        C = H[r, a] * weights[:, :1] + H[r, b] * weights[:, 1:2]
+        C[np.arange(len(r)), a] = C[np.arange(len(r)), b] = 0.0
         return C
 
     def pair_bit(self, data, y, low, high):
-        C = self._pair_rows(data.features[None], np.array([[low]]), np.array([[high]]))[0]
+        a, b = np.array([low]), np.array([high])
+        H, weights = self._fit(data.features[None], a[None], b[None])
         if y.sum() - y[low] - y[high] == data.n - 2:
             return 0  # all training targets 1: the fit is constant and the scores tie
-        return int((y * C[0]).sum() > 0)
+        return int((y * self._rows(H, weights[0], [0], a, b)[0]).sum() > 0)
 
     def pair_kernel(self, feats, lows, highs):
-        C = self._pair_rows(feats, lows, highs)
-        n = feats.shape[1]
-        C_t = C.transpose(0, 2, 1)
-        # Over twice gamma_(n-1) sum |C| even after its own rounding, so outside
-        # it every summation order has the sign of the true sum.
-        band = (4 * n * np.finfo(np.float64).eps) * np.abs(C).sum(axis=-1)[:, None]
+        H, weights = self._fit(feats, lows, highs)
+        R, n = H.shape[:2]
+        row_sums = np.abs(H).sum(axis=-1)
+        M = np.abs(weights[..., 0]) * _at(row_sums, lows)
+        M += np.abs(weights[..., 1]) * _at(row_sums, highs)
+        band = (5 * n * np.finfo(np.float64).eps * M)[..., None]
+        widest, chunk = band.max(initial=0.0), max(1, _BLOCK_ELEMENTS // n)
+        # s takes four whole rows of a block's stack, which holds per sample
+        # the rows of h = H y, of y and of ones, labelings along each.
+        rows = np.empty(lows.shape + (4,), dtype=lows.dtype)
+        rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = lows, highs, lows + n, 2 * n
+        rows += (2 * n + 1) * np.arange(R)[:, None, None]
 
         def kernel(block):
-            s = block.astype(np.float64) @ C_t
-            # Inside the band (or not finite), an entry is recounted as pair_bit
-            # counts it: an elementwise product summed along the contiguous last
-            # axis, so the two labelings of an edge reduce identical terms in
-            # the same order.
-            near = ~(np.abs(s) > band)
-            if near.any():
-                r, l, k = np.nonzero(near)
-                s[r, l, k] = (block[r, l] * C[r, k]).sum(axis=-1)
+            stack = np.empty((R, 2 * n + 1, block.shape[1]))
+            y = stack[:, n:2 * n]
+            y[...] = block.transpose(0, 2, 1)
+            stack[:, 2 * n] = 1.0
+            np.matmul(H, y, out=stack[:, :n])
+            ends = stack.reshape(-1, block.shape[1]).take(rows, axis=0)
+            score = (weights[:, :, None] @ ends)[:, :, 0]
+            pos = score > 0
+            dist = np.abs(score, out=score)
+            if not dist.min(initial=np.inf) > widest:
+                # Inside the band (or not finite), an entry builds its C row
+                # and sums it as pair_bit does, a chunk of entries at a time.
+                near = np.nonzero(~(dist > band))
+                for i in range(0, len(near[0]), chunk):
+                    r, k, l = (idx[i:i + chunk] for idx in near)
+                    C = self._rows(H, weights[r, k], r, lows[r, k], highs[r, k])
+                    pos[r, k, l] = (block[r, l] * C).sum(axis=-1) > 0
             # With every training target 1 the scores tie exactly; the sums
             # above would only see rounding.
-            return (s > 0) & (block.sum(axis=-1, keepdims=True) < n - 1)
+            return (pos & (y.sum(axis=1) < n - 1)[:, None]).transpose(0, 2, 1)
 
         return kernel
 
@@ -477,7 +518,7 @@ class KnnLearner(BatchedLearner):
         k = self.k
         if k > n - 2:
             raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
-        refuse_over(f"bytes of the knn distance arrays at n={n}", 8 * R * n * n * max(d, k))
+        _refuse_kernel(self, R, n, d, lows.shape[1])
         diff = feats[:, :, None, :] - feats[:, None, :, :]
         sq = np.square(diff, out=diff).sum(axis=3)
         del diff
@@ -487,6 +528,9 @@ class KnnLearner(BatchedLearner):
         # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
         return tuple(np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
                      for rows, b in ((_at(near, lows), highs), (_at(near, highs), lows)))
+
+    def sample_bytes(self, n, d, pairs):
+        return 8 * n * n * max(d, self.k)  # differences, or (k, pairs) lists below 4 k n^2
 
     def pair_bit(self, data, y, low, high):
         pair = np.array([[low]]), np.array([[high]])

@@ -127,6 +127,28 @@ def ridge_retrained_difference(X, y, lam: float, a: int, b: int) -> float:
     return float((Z[a] - Z[b]) @ beta)
 
 
+def ridge_pair_rows(feats, lam: float, lows, highs) -> np.ndarray:
+    """Ridge's pair rows C (R, K, n) of R stacked samples, zero at each pair,
+    with s_low - s_high = C[r, k] @ y for pair k of sample r: the full-sample
+    hat matrix H, (u_a, u_b) = (I - H_SS)^-1 (1, -1) in closed form and
+    C = u_a H[a] + u_b H[b], each step the float operation
+    ``RidgeLearner.pair_bit`` takes, so its bits can be read off these rows.
+    """
+    R, n, d = feats.shape
+    Z = np.concatenate([feats, np.ones((R, n, 1))], axis=2)
+    Zt = Z.transpose(0, 2, 1)
+    H = Z @ np.linalg.solve(Zt @ Z + np.diag([lam] * d + [0.0]), Zt)
+    s = np.arange(R)[:, None]
+    rest_a, rest_b, h_ab = 1.0 - H[s, lows, lows], 1.0 - H[s, highs, highs], H[s, lows, highs]
+    det = rest_a * rest_b - h_ab * h_ab
+    u_a, u_b = (rest_b - h_ab) / det, (h_ab - rest_a) / det
+    C = H[s, lows] * u_a[..., None] + H[s, highs] * u_b[..., None]
+    k = np.arange(lows.shape[1])
+    C[s, k, lows] = 0.0
+    C[s, k, highs] = 0.0
+    return C
+
+
 def ridge_elementwise_bits(C, block) -> np.ndarray:
     """Ridge's canonical bits (R, L, K) for an (R, L, n) block of 0/1 rows
     over the pair rows C (R, K, n): each score an elementwise product summed

@@ -347,25 +347,50 @@ def test_simulate_null_past_64_rows(capsys):
     assert len(counts) == 50 * 50 + 1 and sum(counts) == 3
 
 
+RIDGE_REFUSAL = "bytes of ridge(lambda=1)'s largest kernel array on 1 sample(s) of n=11600"
+
+
 @pytest.mark.parametrize("extra", [("--permutations", "3"), ("--over-samples", "--reps", "1")])
 def test_simulate_refused_by_bytes_exits_3(extra, capsys):
-    # Ridge's (pairs, n) rows at n = 1300 would take 4.4 GB for one labeling's
-    # pairs and 8.8 GB for every pair.
+    # At n = 11600 the pair lists of several labelings take 1.08 GB, and so
+    # does ridge's (n, n) hat matrix, which the replications refuse before
+    # they list one labeling's pairs (538 MB).
     code, out, err = run(capsys, "simulate", "--mode", "null", "--learner", "ridge;lambda=1",
-                         "--n", "1300", "--w", "650", *extra)
-    assert code == 3 and out == "" and "bytes of ridge's pair rows" in err, err
+                         "--n", "11600", "--w", "5800", *extra)
+    what = RIDGE_REFUSAL if "--over-samples" in extra else "bytes of the pair lists of n=11600"
+    assert code == 3 and out == "" and what in err, err
 
 
 def test_simulate_type2_refused_by_bytes_before_its_wmw_table():
-    # The WMW critical value at n = 1300 takes minutes; ridge's pair rows
-    # are refused before the value is needed, so the run ends at once.
+    # The WMW critical value at n = 11600 would take hours; ridge's hat
+    # matrix is refused before the value is needed, so the run ends at once.
     proc = subprocess.run(
         [sys.executable, "-m", "lightcodes", "simulate", "--mode", "type2", "--learner",
-         "ridge;lambda=1", "--sizes", "1300", "--reps", "1"],
+         "ridge;lambda=1", "--sizes", "11600", "--reps", "1"],
         env=checkout_env(), capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
-    assert "bytes of ridge's pair rows" in proc.stderr
+    assert RIDGE_REFUSAL in proc.stderr
+
+
+def test_simulate_ridge_null_at_n_in_the_hundreds_in_bounded_memory():
+    # A small parent process runs the CLI, so the child's peak RSS, read back
+    # through RUSAGE_CHILDREN, does not start from this test process's own.
+    def peak_mb(*argv):
+        script = ("import resource, subprocess, sys; "
+                  "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+                  "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, sys.executable, "-m", "lightcodes", "simulate",
+             "--mode", "null", "--learner", "ridge;lambda=1", *argv],
+            env=checkout_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, kb = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        return kb / 1024
+
+    assert peak_mb("--n", "400", "--w", "200", "--permutations", "200") < 200
+    peak_mb("--n", "1000", "--w", "500", "--permutations", "20")
 
 
 def test_simulate_ridge_without_training_rows(capsys):

@@ -235,9 +235,15 @@ def test_replicate_counts_equal_the_per_pair_loop(draw):
     scenario = draw.draw(st.sampled_from(TWO_COLUMN_SCENARIOS if name == "parity" else SCENARIOS))
     reps, seed = draw.draw(st.integers(1, 6)), draw.draw(st.integers(0, 2**32 - 1))
     learner = make_learner(spec)
-    # A small block bound makes the replications cross block boundaries.
-    block = draw.draw(st.sampled_from([1, 50, 400, experiments._SAMPLE_BLOCK_ELEMENTS]))
-    with mock.patch.object(experiments, "_SAMPLE_BLOCK_ELEMENTS", block):
+    # A byte budget of k samples' footprint gives blocks of k samples, so the
+    # replications cross block boundaries; 1 byte still scores one at a time.
+    d = generate_data(scenario, n, w, seed)[0].features.shape[1]
+    per_sample = learner.sample_bytes(n, d, w * (n - w))
+    block = draw.draw(st.one_of(
+        st.sampled_from([1, experiments._SAMPLE_BLOCK_BYTES]),
+        st.integers(1, reps).map(lambda k: k * per_sample),
+    ))
+    with mock.patch.object(experiments, "_SAMPLE_BLOCK_BYTES", block):
         got = replicate_error_counts(learner, scenario, n, w, reps, seed)
         # Replication r does not depend on how many follow it.
         head = replicate_error_counts(learner, scenario, n, w, reps - 1, seed)
@@ -245,6 +251,17 @@ def test_replicate_counts_equal_the_per_pair_loop(draw):
     want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
     assert got.dtype == np.int64 and got.tolist() == want, (spec, scenario, n, w)
     assert head.tolist() == want[:-1]
+
+
+def test_stacked_ridge_replicates_equal_the_per_pair_loop():
+    # Ridge at n = 40 stacks several samples per block; 13 replicates fill
+    # at least one block and start another.
+    learner, n, w, reps = make_learner("ridge;lambda=1"), 40, 20, 13
+    assert 1 < experiments._SAMPLE_BLOCK_BYTES // learner.sample_bytes(n, 10, w * w) < reps
+    got = replicate_error_counts(learner, "nonlinear-3mode", n, w, reps, 11)
+    samples = [generate_data("nonlinear-3mode", n, w, (11, n, w, r)) for r in range(reps)]
+    want = [Learner.error_counts(learner, data, [lab])[0] for data, lab in samples]
+    assert got.tolist() == want
 
 
 # Seed words: small values, the 32- and 64-bit word boundaries, multi-word ints

@@ -98,8 +98,12 @@ BYTE_REFUSALS = {
     "order-direction signs": lambda: learners.OrderDirectionLearner().pair_kernel(
         np.zeros((1, 11600, 1)), np.zeros((1, 1), int), np.ones((1, 1), int)
     ),
-    "ridge pair rows": lambda: learners.RidgeLearner().error_counts(
-        datagen.Dataset(np.zeros((1300, 1))), np.arange(1300) < 650
+    "ridge hat matrix": lambda: learners.RidgeLearner().pair_kernel(
+        np.zeros((1, 11600, 1)), np.zeros((1, 1), int), np.ones((1, 1), int)
+    ),
+    # Refused by ridge's footprint before the 538 MB of one labeling's pairs.
+    "ridge replicates": lambda: experiments.replicate_error_counts(
+        learners.RidgeLearner(), "null-gauss-1d", 11600, 5800, 1, 0
     ),
     "knn neighbor table": lambda: learners.KnnLearner(3).pair_kernel(
         np.zeros((1, 3700, 10)), np.zeros((1, 1), int), np.ones((1, 1), int)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lightcodes import learners
 from lightcodes.datagen import Dataset, generate_data
-from lightcodes.experiments import replicate_error_counts
+from lightcodes.experiments import _SAMPLE_BLOCK_BYTES, replicate_error_counts
 from lightcodes.learners import (
     ConstantLearner,
     KnnLearner,
@@ -22,7 +22,12 @@ from lightcodes.learners import (
 )
 from lightcodes.lpocv import exact_null_distribution
 from lightcodes.words import Word, iter_words
-from oracles import knn_neighbor_table, ridge_elementwise_bits, ridge_retrained_difference
+from oracles import (
+    knn_neighbor_table,
+    ridge_elementwise_bits,
+    ridge_pair_rows,
+    ridge_retrained_difference,
+)
 
 
 def gaussian_data(n, d, seed):
@@ -221,8 +226,9 @@ def test_ridge_pair_rows_match_retrained_oracle(n, d, lam, dups, seed):
     y = rng.permutation(np.arange(n) < w).astype(np.uint8)
     data, learner = Dataset(X), RidgeLearner(lam)
     lows, highs = learners._differing_pairs(y[None])
-    diff = learner._pair_rows(X[None], lows, highs)[0] @ y
+    H, weights = learner._fit(X[None], lows, highs)
     lows, highs = lows[0], highs[0]
+    diff = learner._rows(H, weights[0], np.zeros_like(lows), lows, highs) @ y
     want = np.array([ridge_retrained_difference(X, y, lam, a, b) for a, b in zip(lows, highs)])
     assert np.allclose(diff, want, rtol=0, atol=1e-9), np.abs(diff - want).max()
     # The 1-labeled member is the high one exactly when the canonical bit is 0.
@@ -455,9 +461,25 @@ def test_ridge_kernel_equals_elementwise_sums_on_stacked_blocks(seed):
     lows, highs = (np.repeat(a[None], R, axis=0) for a in np.triu_indices(n, 1))
     learner = RidgeLearner(1.0)
     got = learner.pair_kernel(feats, lows, highs)(block)
-    want = ridge_elementwise_bits(learner._pair_rows(feats, lows, highs), block)
+    want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), block)
     split = learners._at(block, lows) != learners._at(block, highs)
     assert np.array_equal(got[split], want[split])
+
+
+def test_ridge_hat_matrices_of_a_stack_equal_each_samples_own():
+    # Stacked replications score R samples from one (R, n, n) hat-matrix
+    # stack, and pair_bit from each sample's own: the bits agree only if the
+    # two are equal bit for bit, for every R up to a block of n = 40 samples.
+    n, d = 40, 10
+    learner = RidgeLearner(1.0)
+    step = _SAMPLE_BLOCK_BYTES // learner.sample_bytes(n, d, n * n // 4)
+    assert step > 1
+    feats = np.random.default_rng(40).standard_normal((step, n, d))
+    pair = np.zeros((1, 1), int), np.ones((1, 1), int)
+    alone = [learner._fit(x[None], *pair)[0][0].tobytes() for x in feats]
+    for R in range(1, step + 1):
+        stack = learner._fit(feats[:R], *(np.repeat(a, R, axis=0) for a in pair))[0]
+        assert [h.tobytes() for h in stack] == alone[:R], R
 
 
 @settings(max_examples=30, deadline=None)
