@@ -37,9 +37,9 @@ from .datagen import Dataset
 from .johnson import refuse_over
 from .words import Word, _seed_words
 
-# Rows per kernel block are capped so that samples x rows x pairs x n stays
-# below this.  That bounds knn's per-block vote gathers (k < n terms per
-# pair) and ridge's rounding-band recount (n float terms per entry) at 1 MiB.
+# Rows per kernel block are capped so that samples x rows x pairs x
+# ``Learner.pair_terms`` stays below this, 1 MiB of float64.  Ridge's
+# rounding-band recount (n float terms per entry) stays below it too.
 _BLOCK_ELEMENTS = 1 << 17
 _MASK64 = (1 << 64) - 1
 
@@ -119,7 +119,7 @@ def pair_errors(learner: "Learner", feats: np.ndarray, mats: np.ndarray, lows, h
     kernel = learner.pair_kernel(feats, lows, highs)
     R, L, n = mats.shape
     K = lows.shape[1]
-    step = max(1, _BLOCK_ELEMENTS // max(1, R * K * n))
+    step = max(1, _BLOCK_ELEMENTS // max(1, R * K * learner.pair_terms(n)))
     for start in range(0, L if K else 0, step):
         block = mats[:, start:start + step]
         y_lo, y_hi = _at(block, lows), _at(block, highs)
@@ -195,6 +195,11 @@ class Learner(ABC):
         """Bytes of the largest kernel array per stacked sample of n rows, d
         features and ``pairs`` pairs: by default the features or a float per pair."""
         return 8 * max(n * d, pairs)
+
+    def pair_terms(self, n: int) -> int:
+        """Kernel array elements per labeling and pair of a block: by default n,
+        which bounds knn's k < n votes per pair."""
+        return n
 
     def pair_kernel(self, feats: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         """Batched canonical bits for R stacked samples and their pairs.
@@ -397,21 +402,19 @@ class RidgeLearner(BatchedLearner):
     det(A_S) / det(A) is positive for n >= 3 (leave-pair-out, Pahikkala et
     al. 2008).  ``pair_bit`` sums y_i C_i elementwise.
 
-    The kernel builds no C: with h = H y, one BLAS product per labeling, and
-    alpha, beta C's entries at a, b before zeroing, s = u_a h_a + u_b h_b -
-    y_a (alpha - beta) - beta, an inner product of length 4.  Its sign is
-    trusted outside |s| <= 5 n eps M, M = sum_j (|u_a H_aj| + |u_b H_bj|), a
-    band no labeling moves.  Proof: let u = eps / 2 and E = sum_(i not in S)
-    y_i (u_a H_ai + u_b H_bi), exact.  Up to factors 1 + O(n u), summing in
-    any order (Higham 2002, sections 3.1 and 4.2), ``pair_bit``'s sum is
-    within (n + 1) u M of E (2 u M forming the C_i, (n - 1) u M adding them),
-    and s within (n + 20) u M (n u M from h, 4 u M from beta and alpha - beta,
-    both at most M in size, and 16 u M from the inner product, whose terms
-    total at most 4 M).  The computed band is at least 10 n u M (1 - (n + 3) u),
-    so for n >= 3 both have E's sign outside it.  M >= 1 (H 1 = 1, and u_a
-    or u_b has size >= 1), so underflow stays inside the slack.  Entries in
-    the band, or not finite, build their C rows and sum them as ``pair_bit``
-    does, so the bits are its bits.
+    The kernel builds no C: with h = H y and alpha, beta C's entries at a, b
+    before zeroing, s = u_a h_a + u_b h_b - y_a (alpha - beta) - beta.  It
+    trusts the sign outside |s| <= 5 n eps M, M = sum_j (|u_a H_aj| + |u_b H_bj|).
+    Proof, with u = eps / 2, E = sum_(i not in S) y_i (u_a H_ai + u_b H_bi)
+    exactly and factors 1 + O(n u) dropped (Higham 2002, sections 3.1, 4.2):
+    ``pair_bit``'s sum is within (n + 1) u M of E (2 u M forming the C_i,
+    (n - 1) u M adding them in any order), and s within (n + 20) u M (n u M
+    from h, 4 u M from alpha - beta and beta, each at most M, 16 u M from the
+    length-4 inner product, whose terms total at most 4 M).  The computed
+    band is at least 10 n u M (1 - (n + 3) u) > (2 n + 21) u M for n >= 3, so
+    outside it both sums have E's sign.  M >= 1 (H 1 = 1 and max(|u_a|, |u_b|)
+    >= 1), so underflow stays in the slack.  Entries in the band, or not
+    finite, build their C rows and sum them as ``pair_bit`` does.
     """
 
     def __init__(self, lam: float = 1.0):
@@ -422,6 +425,9 @@ class RidgeLearner(BatchedLearner):
 
     def sample_bytes(self, n, d, pairs):
         return 8 * max(n * n, 4 * pairs)  # H, or four floats or indices per pair
+
+    def pair_terms(self, n):
+        return 4  # the terms h_a, h_b, y_a and 1 of s
 
     def _fit(self, feats: np.ndarray, lows, highs):
         """Hat matrices H (R, n, n) of R stacked samples, and each pair's
@@ -467,10 +473,9 @@ class RidgeLearner(BatchedLearner):
         M += np.abs(weights[..., 1]) * _at(row_sums, highs)
         band = (5 * n * np.finfo(np.float64).eps * M)[..., None]
         widest, chunk = band.max(initial=0.0), max(1, _BLOCK_ELEMENTS // n)
-        # s takes four whole rows of a block's stack, which holds per sample
-        # the rows of h = H y, of y and of ones, labelings along each.
-        rows = np.empty(lows.shape + (4,), dtype=lows.dtype)
-        rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = lows, highs, lows + n, 2 * n
+        # s reads four rows of a block's stack, which holds per sample the
+        # rows of h = H y, of y and of ones, labelings along each.
+        rows = np.stack([lows, highs, lows + n, np.full_like(lows, 2 * n)], axis=-1)
         rows += (2 * n + 1) * np.arange(R)[:, None, None]
 
         def kernel(block):

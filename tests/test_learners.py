@@ -482,6 +482,18 @@ def test_ridge_hat_matrices_of_a_stack_equal_each_samples_own():
         assert [h.tobytes() for h in stack] == alone[:R], R
 
 
+def test_labeling_blocks_follow_each_learners_pair_terms():
+    # Over all 190 pairs of n = 20, ridge's four terms per labeling and pair
+    # give blocks of 2^17 // 760 = 172 labelings; knn keeps n terms, so 34.
+    n = 20
+    feats = np.random.default_rng(20).standard_normal((1, n, 2))
+    mats = np.stack([np.arange(n) % 2] * 200).astype(np.uint8)[None]
+    lows, highs = (a[None] for a in np.triu_indices(n, 1))
+    for learner, step in ((RidgeLearner(1.0), 172), (KnnLearner(3), 34)):
+        starts = [start for start, _ in learners.pair_errors(learner, feats, mats, lows, highs)]
+        assert starts == list(range(0, 200, step)), learner.name
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_exact_null_edge_sum_identity(draw):
