@@ -6,12 +6,19 @@ independent per-replication streams as (master seed, index).
 ``_replicate_rngs`` runs SeedSequence's mixing for many replicates in
 vectorized passes and lets numpy's PCG64 seed itself from each mixed state,
 so replicate r draws exactly what ``default_rng((*entropy, r))`` would.
+
+``_draw`` draws a block of samples, one per generator, as stacked arrays:
+per sample only its random calls run, and the scenario's shifts are applied
+to the whole block.  ``generate_data`` and the ``csv:`` sampler draw a block
+of one, so a replicate drawn in any block is ``generate_data``'s sample at
+its seed, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -63,46 +70,57 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _sorted_labeling(n: int, w: int) -> np.ndarray:
-    """The (n,) bool row of w ones, then n - w zeros, that labelings permute."""
+def _random_labelings(rngs, n: int, w: int) -> np.ndarray:
+    """(R, n) bool rows of weight w, row r shuffled by ``rngs[r]``.
+
+    Each shuffle draws what ``rngs[r].permutation`` of the sorted row would:
+    numpy's permutation of an array is a copy and a ``shuffle``.
+    """
     _check_weight(n, w)
-    return np.arange(n) < w
+    rows = np.empty((len(rngs), n), dtype=bool)
+    rows[:] = np.arange(n) < w
+    for rng, row in zip(rngs, rows):
+        rng.shuffle(row)
+    return rows
 
 
-def _random_labeling(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
-    """A uniform weight-w labeling as an (n,) bool row."""
-    return rng.permutation(_sorted_labeling(n, w))
+def _coins(rngs, size: int) -> np.ndarray:
+    """(R, size) fair 0/1 draws, row r from ``rngs[r]``."""
+    coins = np.empty((len(rngs), size), dtype=np.int64)
+    for rng, row in zip(rngs, coins):
+        row[:] = rng.integers(0, 2, size=size)
+    return coins
 
 
-def _draw(scenario: str, rng: np.random.Generator, sorted_labeling: np.ndarray):
-    """One synthetic sample from ``rng``: (features, labeling as an (n,) uint8 row)."""
-    bits = rng.permutation(sorted_labeling)
-    ones, zeros = bits.nonzero()[0], (~bits).nonzero()[0]
-    n = len(bits)
+def _draw(scenario: str, rngs, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """One synthetic sample per generator: (R, n, d) features and (R, n) uint8 rows.
 
-    if scenario in ("null-gauss-1d", "null-gauss-10d"):
-        d = 1 if scenario.endswith("1d") else 10
-        feats = rng.standard_normal((n, d))
-    elif scenario in ("null-mix-1d", "null-mix-10d"):
-        d = 1 if scenario.endswith("1d") else 10
-        component = rng.integers(0, 2, size=n)
-        means = np.asarray(MIX_MEANS)[component]
-        feats = rng.standard_normal((n, d)) + means[:, None]
-    elif scenario in ("linear-1sig", "linear-4sig"):
+    Each generator makes only its random calls, in one fixed order: the
+    labeling's shuffle, then the scenario's integers and normals.  The
+    class shifts, mixture means, mode offsets and leak column are applied to
+    the whole block afterwards; each is one IEEE add or assignment per
+    element, so sample r is the same whatever block it is drawn in.
+    """
+    bits = _random_labelings(rngs, n, w)
+    if scenario == "parity":
+        feats = np.empty((len(rngs), n, 2))
+        feats[:, :, 0] = bits
+        feats[:, :, 1] = _coins(rngs, n)
+        return feats, bits.view(np.uint8)
+
+    component = _coins(rngs, n) if scenario.startswith("null-mix") else None
+    feats = np.empty((len(rngs), n, 1 if scenario.endswith("1d") else 10))
+    for rng, row in zip(rngs, feats):
+        rng.standard_normal(out=row)
+    if component is not None:
+        feats += np.asarray(MIX_MEANS)[component][..., None]
+    elif scenario.startswith("linear"):
         k = 1 if scenario == "linear-1sig" else 4
-        feats = rng.standard_normal((n, 10))
-        feats[ones, :k] += 0.5
-        feats[zeros, :k] -= 0.5
+        feats[..., :k] += np.where(bits, 0.5, -0.5)[..., None]  # x - 0.5 is x + -0.5
     elif scenario == "nonlinear-3mode":
-        feats = rng.standard_normal((n, 10))
-        feats[ones, 0] += 0.5
-        modes = rng.integers(0, 2, size=len(zeros))
-        feats[zeros, 0] += np.where(modes == 0, 5.5, -4.5)
-    else:  # parity
-        coins = rng.integers(0, 2, size=n)
-        feats = np.zeros((n, 2))
-        feats[ones, 0] = 1.0
-        feats[:, 1] = coins
+        shift = np.full(bits.shape, 0.5)
+        shift[~bits] = np.where(_coins(rngs, n - w) == 0, 5.5, -4.5).ravel()
+        feats[..., 0] += shift
     return feats, bits.view(np.uint8)
 
 
@@ -114,13 +132,15 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
+@cache
 def _hash_consts(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiply) constants, as (steps, 1) uint32 columns, of ``steps``
-    successive calls of SeedSequence's running hash."""
+    """(xor, multiply) constants, as read-only (steps, 1) uint32 columns, of
+    ``steps`` successive calls of SeedSequence's running hash."""
     consts = [init]
     for _ in range(steps):
         consts.append(consts[-1] * mult & 0xFFFFFFFF)
     consts = np.array(consts, dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
     return consts[:-1], consts[1:]
 
 
@@ -133,6 +153,25 @@ def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarra
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return result ^ (result >> np.uint32(16))
+
+
+@cache
+def _seed_tools():
+    """(``ISeedSequence`` subclass holding one mixed state, numpy's entropy
+    coercion), made once per process.  Made on first use, not at import:
+    commands that never draw leave numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
+
+    class Mixed(ISeedSequence):
+        """One replicate's ``generate_state(4, np.uint64)``, computed already."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Mixed, _coerce_to_uint32_array
 
 
 # Replicate states are derived this many at a time, so the Python ints they
@@ -149,20 +188,8 @@ def _replicate_rngs(entropy: tuple, reps: int):
     ints, split into uint32 words as SeedSequence splits them, so a negative
     one raises numpy's error, at the first replicate.
     """
-    # Imported here, and the class made here: commands that never draw leave
-    # numpy.random unloaded, and numpy accepts only a subclass.
-    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
-
-    class Mixed(ISeedSequence):
-        """One replicate's ``generate_state(4, np.uint64)``, computed already."""
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    words = _coerce_to_uint32_array(entropy)
+    Mixed, coerce = _seed_tools()
+    words = coerce(entropy)
     # Every replicate's entropy is words + (r,), zero-padded to the pool size.
     rows = max(_POOL_SIZE, len(words) + 1)
     xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * (rows - _POOL_SIZE))
@@ -193,17 +220,17 @@ def _replicate_rngs(entropy: tuple, reps: int):
 
 
 def _sampler(scenario: str, n: int, w: int):
-    """``draw(rng) -> (features, 0/1 row)`` for one (scenario, n, w) cell.
+    """``draw(rngs) -> (features (R, n, d), 0/1 rows (R, n))`` for one
+    (scenario, n, w) cell, one sample per generator.
 
     A ``csv:`` file is read here, once; each draw then only draws its
-    labeling, when the file has no label column.
+    labelings, when the file has no label column.
     """
     if scenario.startswith("csv:"):
         return _csv_sampler(scenario[4:], n, w)
     if scenario not in SCENARIOS:
         raise InputFormatError(f"unknown scenario {scenario!r}")
-    sorted_labeling = _sorted_labeling(n, w)
-    return lambda rng: _draw(scenario, rng, sorted_labeling)
+    return lambda rngs: _draw(scenario, rngs, n, w)
 
 
 def _sample(feats: np.ndarray, row: np.ndarray) -> tuple[Dataset, Word]:
@@ -220,7 +247,8 @@ def generate_data(scenario: str, n: int, w: int, seed) -> tuple[Dataset, Word]:
     emits the label-leak column plus a fair coin column.  ``csv:<path>``
     reads the documented CSV format instead of sampling features.
     """
-    return _sample(*_sampler(scenario, n, w)(np.random.default_rng(_seed_words(seed))))
+    feats, rows = _sampler(scenario, n, w)([np.random.default_rng(_seed_words(seed))])
+    return _sample(feats[0], rows[0])
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -262,7 +290,7 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _csv_sampler(path, n: int | None, w: int | None):
-    """``draw(rng)`` over one CSV file, read and checked once (see ``load_csv``)."""
+    """``draw(rngs)`` over one CSV file, read and checked once (see ``load_csv``)."""
     matrix, labels = _read_csv(path)
     rows_n = matrix.shape[0]
     if n is not None and n != rows_n:
@@ -273,10 +301,12 @@ def _csv_sampler(path, n: int | None, w: int | None):
             raise InputFormatError(
                 f"{path}: label column has weight {file_w}, expected w={w}"
             )
-        return lambda rng: (matrix, labels)
+        return lambda rngs: (np.broadcast_to(matrix, (len(rngs),) + matrix.shape),
+                             np.broadcast_to(labels, (len(rngs), rows_n)))
     if w is None:
         raise InputFormatError(f"{path}: no label column and no weight given")
-    return lambda rng: (matrix, _random_labeling(rng, rows_n, w).view(np.uint8))
+    return lambda rngs: (np.broadcast_to(matrix, (len(rngs),) + matrix.shape),
+                         _random_labelings(rngs, rows_n, w).view(np.uint8))
 
 
 def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
@@ -287,4 +317,5 @@ def load_csv(path, n: int | None = None, w: int | None = None, seed=None):
     from ``seed``, or from fresh entropy when it is None.
     """
     rng = np.random.default_rng(None if seed is None else _seed_words(seed))
-    return _sample(*_csv_sampler(path, n, w)(rng))
+    feats, rows = _csv_sampler(path, n, w)([rng])
+    return _sample(feats[0], rows[0])

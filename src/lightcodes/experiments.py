@@ -2,9 +2,10 @@
 
 A replication draws a fresh sample (and labeling) from a scenario and
 counts the learner's LPOCV errors; a cell's replications are drawn and
-scored as stacks of samples, block by block.  Critical values are read
-off the replication histogram exactly as for the analytic tables: the
-largest error count whose empirical frequency stays strictly below the
+scored as stacks of samples, block by block, each block drawn by one
+``datagen._draw`` call with a generator per replication.  Critical values
+are read off the replication histogram exactly as for the analytic tables:
+the largest error count whose empirical frequency stays strictly below the
 level.  Per-replication seeds derive from (config seed, cell, index) so
 results are independent of execution order; replicate r's stream is
 ``default_rng((seed, n, w, r))`` bit for bit, its PCG64 seeded from
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 
 import numpy as np
 
@@ -61,17 +61,14 @@ def replicate_error_counts(
     Replication r scores ``generate_data(scenario, n, w, seed + (n, w, r))``;
     its count depends on neither ``reps`` nor the block it is scored in.
     """
-    samples = map(_sampler(scenario, n, w), _replicate_rngs(_seed_words(seed) + (n, w), reps))
     out = np.empty(reps, dtype=np.int64)
-    if not reps:
-        return out
-    first = next(samples)
-    d, pairs = first[0].shape[1], w * (n - w)
-    _refuse_kernel(learner, 1, n, d, pairs)
-    step = max(1, _SAMPLE_BLOCK_BYTES // max(1, learner.sample_bytes(n, d, pairs)))
-    samples = chain([first], samples)
+    draw = _sampler(scenario, n, w)
+    rngs = _replicate_rngs(_seed_words(seed) + (n, w), reps)
+    d = draw([])[0].shape[2]  # an empty block: the feature count, drawing nothing
+    _refuse_kernel(learner, 1, n, d, w * (n - w))
+    step = max(1, _SAMPLE_BLOCK_BYTES // max(1, learner.sample_bytes(n, d, w * (n - w))))
     for start in range(0, reps, step):
-        feats, rows = map(np.stack, zip(*islice(samples, step)))
+        feats, rows = draw([next(rngs) for _ in range(min(step, reps - start))])
         _check_finite(feats)
         counts = stack_error_counts(learner, feats, rows[:, None], *_split_pairs(rows))
         out[start:start + len(rows)] = counts[:, 0]

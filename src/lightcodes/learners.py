@@ -30,6 +30,7 @@ import hashlib
 import math
 import operator
 from abc import ABC, abstractmethod
+from functools import cache
 
 import numpy as np
 
@@ -192,8 +193,9 @@ class Learner(ABC):
         return out
 
     def sample_bytes(self, n: int, d: int, pairs: int) -> int:
-        """Bytes of the largest kernel array per stacked sample of n rows, d
-        features and ``pairs`` pairs: by default the features or a float per pair."""
+        """Bytes the kernel holds per stacked sample of n rows, d features and
+        ``pairs`` pairs: by default its largest array, the features or a float
+        per pair."""
         return 8 * max(n * d, pairs)
 
     def pair_terms(self, n: int) -> int:
@@ -469,10 +471,18 @@ class RidgeLearner(BatchedLearner):
         H, weights = self._fit(feats, lows, highs)
         R, n = H.shape[:2]
         row_sums = np.abs(H).sum(axis=-1)
-        M = np.abs(weights[..., 0]) * _at(row_sums, lows)
-        M += np.abs(weights[..., 1]) * _at(row_sums, highs)
-        band = (5 * n * np.finfo(np.float64).eps * M)[..., None]
-        widest, chunk = band.max(initial=0.0), max(1, _BLOCK_ELEMENTS // n)
+        scale, chunk = 5 * n * np.finfo(np.float64).eps, max(1, _BLOCK_ELEMENTS // n)
+        # The widest band is at most the band of the largest |u_a|, |u_b| and
+        # row sum, computed in the same order (rounding is monotone); each
+        # pair's own band is needed only when some score falls within that.
+        top = np.abs(weights[..., :2]).max(axis=(0, 1), initial=0.0) * row_sums.max(initial=0.0)
+        widest = scale * (top[0] + top[1])
+
+        @cache
+        def band():
+            M = np.abs(weights[..., 0]) * _at(row_sums, lows)
+            M += np.abs(weights[..., 1]) * _at(row_sums, highs)
+            return (scale * M)[..., None]
         # s reads four rows of a block's stack, which holds per sample the
         # rows of h = H y, of y and of ones, labelings along each.
         rows = np.stack([lows, highs, lows + n, np.full_like(lows, 2 * n)], axis=-1)
@@ -485,13 +495,16 @@ class RidgeLearner(BatchedLearner):
             stack[:, 2 * n] = 1.0
             np.matmul(H, y, out=stack[:, :n])
             ends = stack.reshape(-1, block.shape[1]).take(rows, axis=0)
-            score = (weights[:, :, None] @ ends)[:, :, 0]
+            if block.shape[1] == 1:  # matmul pays per pair for a 1-column product
+                score = np.einsum("rkx,rkxl->rkl", weights, ends)
+            else:
+                score = (weights[:, :, None] @ ends)[:, :, 0]
             pos = score > 0
             dist = np.abs(score, out=score)
             if not dist.min(initial=np.inf) > widest:
                 # Inside the band (or not finite), an entry builds its C row
                 # and sums it as pair_bit does, a chunk of entries at a time.
-                near = np.nonzero(~(dist > band))
+                near = np.nonzero(~(dist > band()))
                 for i in range(0, len(near[0]), chunk):
                     r, k, l = (idx[i:i + chunk] for idx in near)
                     C = self._rows(H, weights[r, k], r, lows[r, k], highs[r, k])
@@ -501,6 +514,63 @@ class RidgeLearner(BatchedLearner):
             return (pos & (y.sum(axis=1) < n - 1)[:, None]).transpose(0, 2, 1)
 
         return kernel
+
+
+def _distance_sums(d: int) -> int:
+    """Most (n, n) arrays knn's distances hold at once over d columns: 2 below
+    8 (the running sum and a column, or the sums and their argsort order), 4
+    below 16 (three finished lanes and a column), 5 from 16, where a lane adds
+    a column of its own, and one more per halving above 128."""
+    return 2 if d < 8 else 4 + (d > 15) + max(0, (d - 1).bit_length() - 7)
+
+
+def _square_distances(feats: np.ndarray) -> np.ndarray:
+    """(R, n, n) squared Euclidean distances between the rows of each of R
+    stacked samples, bit for bit ``np.square(diff).sum(axis=-1)`` of their
+    (R, n, n, d) differences, which are never built.
+
+    The d squared columns are added in the order numpy's pairwise sum adds a
+    contiguous axis: below 8 terms, one running sum; up to 128, 8 lanes, lane
+    j summing columns j, j + 8, ... up to the last multiple of 8, added as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the leftover columns one by
+    one; above 128, the sums of two halves split at a multiple of 8.  Each
+    lane is finished before the next starts.
+    """
+    R, n, d = feats.shape
+
+    def column(j):
+        diff = feats[:, :, None, j] - feats[:, None, :, j]
+        return np.multiply(diff, diff, out=diff)
+
+    def total(lo, hi):
+        if hi - lo > 128:
+            mid = lo + (hi - lo) // 2 // 8 * 8
+            out = total(lo, mid)
+            out += total(mid, hi)
+            return out
+        if hi - lo < 8:
+            out = column(lo) if hi > lo else np.zeros((R, n, n))
+            for j in range(lo + 1, hi):
+                out += column(j)
+            return out
+        stop = hi - (hi - lo) % 8
+
+        def lanes(first, count):
+            if count > 1:
+                out = lanes(first, count // 2)
+                out += lanes(first + count // 2, count // 2)
+                return out
+            out = column(first)
+            for j in range(first + 8, stop, 8):
+                out += column(j)
+            return out
+
+        out = lanes(lo, 8)
+        for j in range(stop, hi):
+            out += column(j)
+        return out
+
+    return total(0, d)
 
 
 class KnnLearner(BatchedLearner):
@@ -524,18 +594,26 @@ class KnnLearner(BatchedLearner):
         if k > n - 2:
             raise ValueError(f"k={k} too large for n={n} (train size {n - 2})")
         _refuse_kernel(self, R, n, d, lows.shape[1])
-        diff = feats[:, :, None, :] - feats[:, None, :, :]
-        sq = np.square(diff, out=diff).sum(axis=3)
-        del diff
-        order = np.argsort(sq, axis=2, kind="stable")
-        near = order[order != np.arange(n)[:, None]].reshape(R, n, n - 1)[:, :, : k + 1]
+        order = np.argsort(_square_distances(feats), axis=2, kind="stable")
+        # Row i's k + 1 nearest other rows are its first k + 2 in order less
+        # i itself, which ties may place anywhere among them or after them.
+        top = order[:, :, :k + 2].copy()
+        del order
+        past_self = np.logical_or.accumulate(top[:, :, :k + 1] == np.arange(n)[:, None], axis=2)
+        near = np.where(past_self, top[:, :, 1:], top[:, :, :k + 1])
         near = near.transpose(0, 2, 1)  # near[s, m, i]: row i's m-th nearest, from 0
-        # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
-        return tuple(np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
-                     for rows, b in ((_at(near, lows), highs), (_at(near, highs), lows)))
+
+        def held_out(a, b):
+            # Holding out b drops it from a's k+1 nearest; otherwise the first k stay.
+            rows = _at(near, a)
+            return np.where(rows[:, :k] == b[:, None], rows[:, k:], rows[:, :k])
+
+        return held_out(lows, highs), held_out(highs, lows)
 
     def sample_bytes(self, n, d, pairs):
-        return 8 * n * n * max(d, self.k)  # differences, or (k, pairs) lists below 4 k n^2
+        # Every (n, n) array live at once, or the (k, pairs) lists and their
+        # gathers, below 8 k n^2.
+        return 8 * n * n * max(_distance_sums(d), self.k)
 
     def pair_bit(self, data, y, low, high):
         pair = np.array([[low]]), np.array([[high]])

@@ -126,3 +126,42 @@ def test_compile_tree_writes_bytecode_even_when_told_not_to(tmp_path, monkeypatc
         (tmp_path / module).write_text("X = 1\n")
     ab_bench.compile_tree(tmp_path)
     assert [p.parent.parent.name for p in sorted(tmp_path.rglob("*.pyc"))] == ["bench", "pkg"]
+
+
+def with_jobs(ridge, knn):
+    """A record whose two jobs ran once per ``work_s`` listed."""
+    return {**record(0.3, 500), "samples": {
+        job: [{"setup_s": 0.1, "work_s": work, "maxrss_kb": 39000} for work in runs]
+        for job, runs in (("type2-ridge", ridge), ("type2-knn", knn))}}
+
+
+def test_each_jobs_work_is_summarised_from_the_records_samples(tmp_path, monkeypatch, capsys):
+    # A run's value for a job is the median of that job's work_s in its record.
+    pairs = [(with_jobs([0.12, 0.10, 0.50], [0.20]), with_jobs([0.09, 0.08, 0.07], [0.21])),
+             (with_jobs([0.11, 0.13, 0.12], [0.18]), with_jobs([0.10, 0.30, 0.09], [0.17])),
+             (with_jobs([0.14], [0.19]), with_jobs([0.20], [0.16]))]
+    rows = {row["metric"]: row for row in ab_bench.summarize_jobs(pairs)}
+    assert list(rows) == ["type2-ridge", "type2-knn"]
+    ridge, knn = rows["type2-ridge"], rows["type2-knn"]
+    assert ridge["parent"] == pytest.approx((0.12, 0.12, 0.13))
+    assert ridge["change"] == pytest.approx((0.09, 0.1, 0.15))
+    assert (ridge["unit"], ridge["better"], ridge["won"], ridge["pairs"]) == ("s", "lower", 2, 3)
+    assert knn["won"] == 2 and ridge["beyond_spread"]
+    # Records without samples have no job rows.
+    assert ab_bench.summarize_jobs([(record(0.3, 500), record(0.2, 600))]) == []
+
+    for side in ab_bench.SIDES:
+        git_clone_of_one_commit(tmp_path / side)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "compile_tree", lambda tree: None)
+    # Pair 1 runs the change first, so its records come in swapped.
+    runs = iter([record for i, pair in enumerate(pairs) for record in pair[::(-1) ** i]])
+    monkeypatch.setattr(ab_bench, "run_bench", lambda tree, *args: {
+        **next(runs), "verdict": {"correct": True, "attempted": 1, "failed": 0}})
+    assert ab_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                          "replication-study", "--seed", "7", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    header = out.index(next(line for line in out if line.startswith("job work_s")))
+    assert [line.split()[0] for line in out[header + 1:]] == ["type2-ridge", "type2-knn"]
+    assert " 2/3 " in out[header + 1]

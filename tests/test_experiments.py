@@ -1,6 +1,8 @@
 import hashlib
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from lightcodes.experiments import (
     type2_experiment,
 )
 from lightcodes.johnson import JohnsonGraph, random_orientation
-from lightcodes.learners import Learner, make_learner
+from lightcodes.learners import Learner, bit_matrix, make_learner
 from lightcodes.lpocv import sample_labelings
 from lightcodes.wilcoxon import wmw_critical
 
@@ -303,6 +305,41 @@ def test_replicate_rngs_draw_the_default_rng_streams(entropy, reps):
     assert got == reps
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_draws_equal_generate_data_bit_for_bit(data):
+    # Replicates are drawn a block at a time, one generator each; every
+    # replicate must still be generate_data's sample at its own seed, bit for
+    # bit, whatever block it falls in and however long the block is.
+    scenario = data.draw(st.sampled_from(SCENARIOS + ("csv", "csv with labels")))
+    n = data.draw(st.integers(2, 12))
+    w = data.draw(st.integers(1, n - 1))
+    seed = data.draw(st.lists(SEED_WORDS, min_size=1, max_size=3).map(tuple))
+    blocks = data.draw(st.lists(st.integers(0, 5), max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        if scenario.startswith("csv"):
+            labeled = scenario == "csv with labels"
+            values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=2 * n, max_size=2 * n))
+            labels = data.draw(st.permutations([1] * w + [0] * (n - w)))
+            path = Path(tmp) / "d.csv"
+            path.write_text("a,b" + ",label" * labeled + "\n" + "".join(
+                f"{values[2 * i]!r},{values[2 * i + 1]!r}" + f",{labels[i]}" * labeled + "\n"
+                for i in range(n)))
+            scenario = f"csv:{path}"
+        draw = datagen._sampler(scenario, n, w)
+        rngs = datagen._replicate_rngs(datagen._seed_words(seed) + (n, w), sum(blocks))
+        r = 0
+        for size in blocks:
+            feats, rows = draw([next(rngs) for _ in range(size)])
+            assert feats.shape[0] == rows.shape[0] == size and rows.dtype == np.uint8
+            for got_feats, got_row in zip(feats, rows):
+                sample, lab = generate_data(scenario, n, w, seed + (n, w, r))
+                assert got_feats.tobytes() == sample.features.tobytes(), (scenario, r)
+                assert got_row.tobytes() == bit_matrix([lab], n)[0].tobytes(), (scenario, r)
+                r += 1
+
+
 @pytest.mark.parametrize("seed, error, message", [
     (1.5, TypeError, "seed must be integer"),
     ((1, 2.0), TypeError, "seed must be integer"),
@@ -369,11 +406,14 @@ def test_csv_scenario_is_read_once_per_cell(label, tmp_path):
 
 
 def test_replicate_counts_check_each_block_is_finite():
-    def nan_sampler(scenario, n, w):
-        return lambda seed: (np.full((n, 1), np.nan), np.arange(n) < w)
+    def nan_draw(scenario, rngs, n, w):
+        # The block draw with every feature NaN.
+        feats, rows = draw(scenario, rngs, n, w)
+        return np.full_like(feats, np.nan), rows
 
+    draw = datagen._draw
     learner = make_learner("constant")
-    with mock.patch.object(experiments, "_sampler", nan_sampler):
+    with mock.patch.object(datagen, "_draw", nan_draw):
         with pytest.raises(ValueError, match="^features must be finite$"):
             replicate_error_counts(learner, "null-gauss-1d", 6, 3, 4, 0)
     with pytest.raises(ValueError, match="^features must be finite$"):

@@ -40,8 +40,8 @@ DOMAIN_CALLERS = {
     "bounds.gs_lower": lambda n, w: bounds.gs_lower(n, w, 1),
     "wilcoxon._cumulative_counts": lambda n, w: wilcoxon._cumulative_counts(n, w, 3),
     "wilcoxon.q_count": lambda n, w: wilcoxon.q_count(3, n, w),
-    "datagen._random_labeling": lambda n, w: datagen._random_labeling(
-        np.random.default_rng(0), n, w
+    "datagen._random_labelings": lambda n, w: datagen._random_labelings(
+        [np.random.default_rng(0)], n, w
     ),
     "experiments.SimulationConfig": lambda n, w: experiments.SimulationConfig(
         "constant", "null-gauss-1d", n, w, 10, 0
@@ -106,7 +106,7 @@ BYTE_REFUSALS = {
         learners.RidgeLearner(), "null-gauss-1d", 11600, 5800, 1, 0
     ),
     "knn neighbor table": lambda: learners.KnnLearner(3).pair_kernel(
-        np.zeros((1, 3700, 10)), np.zeros((1, 1), int), np.ones((1, 1), int)
+        np.zeros((1, 5800, 10)), np.zeros((1, 1), int), np.ones((1, 1), int)
     ),
     "sampled labelings": lambda: lpocv.sample_labelings(1100, 1, 10**6, 0),
     "exact-null labeling blocks": lambda: lpocv.exact_null_distribution(

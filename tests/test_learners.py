@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -408,6 +409,45 @@ def test_knn_neighbor_table_matches_loop_oracle(k):
                 assert np.array_equal(*as_sets), (k, n)
 
 
+@pytest.mark.parametrize("d", [*range(1, 18), 127, 128, 129, 130, 300])
+def test_knn_distances_equal_numpys_reduction_bit_for_bit(d):
+    # knn adds the squared columns one (R, n, n) array at a time in the order
+    # of numpy's pairwise sum, so its ties and orders are those of the summed
+    # (R, n, n, d) differences.  Column scales spread over six decades, so a
+    # sum in any other order rounds differently.
+    rng = np.random.default_rng(d)
+    for R in (1, 3):
+        feats = rng.standard_normal((R, 12, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        diff = feats[:, :, None, :] - feats[:, None, :, :]
+        want = np.square(diff).sum(axis=-1)
+        got = learners._square_distances(feats)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, R)
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (7, 2), (10, 3), (16, 4), (130, 2), (300, 5), (3, 40)])
+def test_knn_setup_peak_stays_within_its_sample_bytes(d, k):
+    # sample_bytes sizes replicate blocks and refusals, so it must cover what
+    # knn's set-up holds: its distance sums, then its held-out lists.  Besides
+    # them numpy holds its iterator buffers for the length of one call, at most
+    # getbufsize() elements of each of three operands; at n = 200 they are
+    # less than one (n, n) array, so one array too few in the count shows.
+    n, buffers = 200, 3 * 8 * np.getbufsize()
+    rng = np.random.default_rng(d * k)
+    for R in (1, 2):
+        feats = rng.standard_normal((R, n, d))
+        rows = np.stack([rng.permutation(np.arange(n) < n // 2) for _ in range(R)])
+        lows, highs = learners._split_pairs(rows.astype(np.uint8))
+        learner = KnnLearner(k)
+        tracemalloc.start()
+        try:
+            kernel = learner.pair_kernel(feats, lows, highs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kernel
+        assert 8 * n * n * R < peak <= R * learner.sample_bytes(n, d, lows.shape[1]) + buffers
+
+
 def random_dataset(spec, n, seed):
     """A small integer grid (ties, duplicates); for ridge, Gaussian rows or
     rows of {0,1,2}^d, d <= 3, whose scores fall at or near 0."""
@@ -464,6 +504,21 @@ def test_ridge_kernel_equals_elementwise_sums_on_stacked_blocks(seed):
     want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), block)
     split = learners._at(block, lows) != learners._at(block, highs)
     assert np.array_equal(got[split], want[split])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ridge_one_labeling_blocks_equal_elementwise_sums(seed):
+    # Replications score one labeling per sample, a block the kernel sums
+    # with einsum rather than matmul; integer grids put scores in its band too.
+    rng = np.random.default_rng(100 + seed)
+    R, n, d = 40, int(rng.integers(8, 13)), int(rng.integers(1, 4))
+    feats = rng.integers(0, 3, (R, n, d)).astype(float)
+    rows = np.stack([rng.permutation(np.arange(n) < n // 2) for _ in range(R)]).astype(np.uint8)
+    lows, highs = learners._split_pairs(rows)
+    learner = RidgeLearner(1.0)
+    got = learner.pair_kernel(feats, lows, highs)(rows[:, None])
+    want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), rows[:, None])
+    assert np.array_equal(got, want)
 
 
 def test_ridge_hat_matrices_of_a_stack_equal_each_samples_own():

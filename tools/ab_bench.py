@@ -13,7 +13,8 @@ series' start time to the microsecond, so a later series on the same
 workload and seed keeps the earlier one's records.  At the end each
 metric of the records is summarised: each side's median and quartiles, the
 number of pairs in which the change did better, and whether the medians
-differ by more than the parent's quartile spread.
+differ by more than the parent's quartile spread.  So is each job's
+``work_s``, a run's median of it read from the record's ``samples``.
 
 Make both trees the same way, best as two ``git clone``s: a tree copied
 without its ``.git`` has run ``replication-study`` 20-25% slower than a
@@ -55,29 +56,43 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(name: str, unit: str, higher: bool, parent, change) -> dict:
+    """One summary row: each side's quartiles of a value per pair, the pairs
+    in which the change did better, and whether the medians differ by more
+    than the parent's quartile spread."""
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    p_q, c_q = quartiles(parent), quartiles(change)
+    return {"metric": name, "unit": unit, "better": "higher" if higher else "lower",
+            "parent": p_q, "change": c_q, "won": won, "pairs": len(parent),
+            "beyond_spread": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0]}
+
+
 def summarize(pairs, spec: dict) -> list[dict]:
     """One row per metric of ``pairs``, a list of (parent record, change record)."""
     rows = []
     for name, metric in pairs[0][0]["metrics"].items():
-        unit = metric["unit"]
-        higher = higher_is_better(name, unit, spec)
-        parent = [p["metrics"][name]["value"] for p, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
-        won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        p_q, c_q = quartiles(parent), quartiles(change)
-        rows.append({
-            "metric": name, "unit": unit, "better": "higher" if higher else "lower",
-            "parent": p_q, "change": c_q, "won": won, "pairs": len(pairs),
-            "beyond_spread": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
-        })
+        values = [[record["metrics"][name]["value"] for record in side] for side in zip(*pairs)]
+        rows.append(compare(name, metric["unit"], higher_is_better(name, metric["unit"], spec),
+                            *values))
     return rows
 
 
-def format_rows(rows) -> list[str]:
+def summarize_jobs(pairs) -> list[dict]:
+    """One row per job of ``pairs``: each run's median ``work_s`` of that job,
+    read from the records' ``samples``; lower is better."""
+    def work(record, job):
+        return statistics.median(sample["work_s"] for sample in record["samples"][job])
+
+    return [compare(job, "s", False, *([work(record, job) for record in side]
+                                       for side in zip(*pairs)))
+            for job in pairs[0][0].get("samples", {})]
+
+
+def format_rows(rows, title: str = "metric") -> list[str]:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
-    lines = [f"{'metric':24s} {'unit':5s} {'parent median [q1, q3]':30s} "
+    lines = [f"{title:24s} {'unit':5s} {'parent median [q1, q3]':30s} "
              f"{'change median [q1, q3]':30s} {'won':>6s}  beyond parent spread"]
     for row in rows:
         lines.append(f"{row['metric']:24s} {row['unit']:5s} {side(row['parent']):30s} "
@@ -160,6 +175,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         print(f"# {side}: {trees[side]} at {heads[side] or 'no git checkout'}")
     print("\n".join(format_rows(summarize(pairs, spec))))
+    print("\n".join(format_rows(summarize_jobs(pairs), "job work_s")))
     return 0 if all(r["verdict"]["correct"] for pair in pairs for r in pair) else 1
 
 
