@@ -77,8 +77,7 @@ def _random_labelings(rngs, n: int, w: int) -> np.ndarray:
     numpy's permutation of an array is a copy and a ``shuffle``.
     """
     _check_weight(n, w)
-    rows = np.empty((len(rngs), n), dtype=bool)
-    rows[:] = np.arange(n) < w
+    rows = np.tile(np.arange(n) < w, (len(rngs), 1))
     for rng, row in zip(rngs, rows):
         rng.shuffle(row)
     return rows

@@ -30,7 +30,6 @@ import hashlib
 import math
 import operator
 from abc import ABC, abstractmethod
-from functools import cache
 
 import numpy as np
 
@@ -472,17 +471,17 @@ class RidgeLearner(BatchedLearner):
         R, n = H.shape[:2]
         row_sums = np.abs(H).sum(axis=-1)
         scale, chunk = 5 * n * np.finfo(np.float64).eps, max(1, _BLOCK_ELEMENTS // n)
-        # The widest band is at most the band of the largest |u_a|, |u_b| and
-        # row sum, computed in the same order (rounding is monotone); each
-        # pair's own band is needed only when some score falls within that.
-        top = np.abs(weights[..., :2]).max(axis=(0, 1), initial=0.0) * row_sums.max(initial=0.0)
-        widest = scale * (top[0] + top[1])
+        # Rounding is monotone, so no pair's band is wider than the band
+        # computed from the largest of all |u_a|, |u_b| and the largest row
+        # sum; each pair's own band is needed only when some score is within it.
+        widest = scale * (2 * (np.abs(weights[..., :2]).max(initial=0.0)
+                               * row_sums.max(initial=0.0)))
 
-        @cache
         def band():
             M = np.abs(weights[..., 0]) * _at(row_sums, lows)
             M += np.abs(weights[..., 1]) * _at(row_sums, highs)
             return (scale * M)[..., None]
+
         # s reads four rows of a block's stack, which holds per sample the
         # rows of h = H y, of y and of ones, labelings along each.
         rows = np.stack([lows, highs, lows + n, np.full_like(lows, 2 * n)], axis=-1)

@@ -416,8 +416,8 @@ def test_knn_distances_equal_numpys_reduction_bit_for_bit(d):
     # (R, n, n, d) differences.  Column scales spread over six decades, so a
     # sum in any other order rounds differently.
     rng = np.random.default_rng(d)
-    for R in (1, 3):
-        feats = rng.standard_normal((R, 12, d)) * 10.0 ** rng.uniform(-3, 3, d)
+    for R, n in ((1, 12), (3, 12), (2, 40)):
+        feats = rng.standard_normal((R, n, d)) * 10.0 ** rng.uniform(-3, 3, d)
         diff = feats[:, :, None, :] - feats[:, None, :, :]
         want = np.square(diff).sum(axis=-1)
         got = learners._square_distances(feats)
