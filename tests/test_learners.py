@@ -494,31 +494,18 @@ def test_ridge_error_counts_equal_per_pair_loop_in_the_rounding_band(seed):
 def test_ridge_kernel_equals_elementwise_sums_on_stacked_blocks(seed):
     # Integer-grid samples put many scores at or near 0, where a BLAS product
     # may round to the other sign; the kernel must still give pair_bit's bits.
+    # Blocks of one labeling per sample, as replications score, take einsum.
     rng = np.random.default_rng(seed)
-    R, L, n, d = 3, 40, int(rng.integers(8, 13)), int(rng.integers(1, 4))
-    feats = rng.integers(0, 3, (R, n, d)).astype(float)
-    block = (rng.random((R, L, n)) < rng.random((R, L, 1))).astype(np.uint8)
-    lows, highs = (np.repeat(a[None], R, axis=0) for a in np.triu_indices(n, 1))
-    learner = RidgeLearner(1.0)
-    got = learner.pair_kernel(feats, lows, highs)(block)
-    want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), block)
-    split = learners._at(block, lows) != learners._at(block, highs)
-    assert np.array_equal(got[split], want[split])
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_ridge_one_labeling_blocks_equal_elementwise_sums(seed):
-    # Replications score one labeling per sample, a block the kernel sums
-    # with einsum rather than matmul; integer grids put scores in its band too.
-    rng = np.random.default_rng(100 + seed)
-    R, n, d = 40, int(rng.integers(8, 13)), int(rng.integers(1, 4))
-    feats = rng.integers(0, 3, (R, n, d)).astype(float)
-    rows = np.stack([rng.permutation(np.arange(n) < n // 2) for _ in range(R)]).astype(np.uint8)
-    lows, highs = learners._split_pairs(rows)
-    learner = RidgeLearner(1.0)
-    got = learner.pair_kernel(feats, lows, highs)(rows[:, None])
-    want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), rows[:, None])
-    assert np.array_equal(got, want)
+    for R, L in ((3, 40), (40, 1)):
+        n, d = int(rng.integers(8, 13)), int(rng.integers(1, 4))
+        feats = rng.integers(0, 3, (R, n, d)).astype(float)
+        block = (rng.random((R, L, n)) < rng.random((R, L, 1))).astype(np.uint8)
+        lows, highs = (np.repeat(a[None], R, axis=0) for a in np.triu_indices(n, 1))
+        learner = RidgeLearner(1.0)
+        got = learner.pair_kernel(feats, lows, highs)(block)
+        want = ridge_elementwise_bits(ridge_pair_rows(feats, 1.0, lows, highs), block)
+        split = learners._at(block, lows) != learners._at(block, highs)
+        assert np.array_equal(got[split], want[split]), (R, L)
 
 
 def test_ridge_hat_matrices_of_a_stack_equal_each_samples_own():
